@@ -789,6 +789,9 @@ func BenchmarkFrontierRefinement(b *testing.B) {
 // connections (NetGroup) against the in-process channel transport, and
 // the full multi-process deployment — shardd worker processes, socket
 // control plane, disk journals — with one worker SIGKILLed mid-run.
+// The inprocess and loopback-tcp rows run the in-process engine, whose
+// shards share one view table and exchange ids only; the procs-* rows,
+// one table per worker process, also price view shipping.
 // Beyond ns/op it reports rounds (bit-identical everywhere by the
 // differential suite), transport resends, and for the kill variant the
 // crash count and the mean recovery (restart + journal replay) time per
@@ -817,8 +820,9 @@ func BenchmarkShardedWire(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// n=100k boundary exchanges ship ~1MB data frames plus
-				// multi-MB view closures per leg. Pace the resend ramp for
+				// n=100k boundary exchanges ship ~1MB data frames per leg
+				// (plus multi-MB view closures between worker processes).
+				// Pace the resend ramp for
 				// big frames (the 200µs default floor is tuned for small
 				// in-process exchanges) and give the exchange headroom over
 				// the 10s default before calling a shard stuck — all

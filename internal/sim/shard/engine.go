@@ -356,6 +356,9 @@ type engine struct {
 
 	tr Transport
 	jr Journal
+	// index resolves boundary ids for every worker and every
+	// incarnation: all of them intern into tab (see views.go).
+	index *viewIndex
 
 	reports chan report
 	ctrl    []chan ctrlMsg
@@ -386,7 +389,8 @@ func RunCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f sim.Factory,
 		return res, stats, err
 	}
 
-	e := &engine{topo: newTopology(g, shards), tab: tab, f: f, opt: opt, tr: opt.Transport, jr: opt.Journal}
+	e := &engine{topo: newTopology(g, shards), tab: tab, f: f, opt: opt, tr: opt.Transport, jr: opt.Journal,
+		index: newViewIndex()}
 	if e.tr == nil {
 		e.tr = NewChanTransport(shards)
 	}
@@ -530,9 +534,13 @@ type worker struct {
 	// so exchanges consume journal-first and duplicates only re-ack.
 	pending map[[2]int][]uint64
 
-	// store holds the view bodies received per peer (journal-backed);
-	// ship[p] the view ids peer p has acked — the per-peer sent-set
-	// that makes each body cross the wire once per sender incarnation.
+	// Ghost ids resolve through index when every shard interns into
+	// one table (the in-process engine), else through shipped view
+	// bodies: store holds those received per peer (journal-backed), and
+	// ship[p] the view ids peer p has acked — the per-peer sent-set that
+	// makes each body cross the wire once per sender incarnation. store
+	// and ship are nil when index is set.
+	index *viewIndex
 	store *viewStore
 	ship  map[int]map[uint64]bool
 
@@ -550,7 +558,7 @@ type worker struct {
 
 func (e *engine) newWorker(s, incarnation int) *worker {
 	return &worker{
-		topo: e.topo, tab: e.tab, f: e.f, opt: e.opt, tr: e.tr, jr: e.jr,
+		topo: e.topo, tab: e.tab, f: e.f, opt: e.opt, tr: e.tr, jr: e.jr, index: e.index,
 		s: s, inc: incarnation, lo: e.topo.ranges[s][0], size: e.topo.ranges[s][1] - e.topo.ranges[s][0],
 		emit: func(rep report) error { e.reports <- rep; return nil },
 		ctrlRecv: func() (ctrlMsg, bool) {
@@ -618,8 +626,10 @@ func (w *worker) init() {
 		}
 	}
 	w.pending = map[[2]int][]uint64{}
-	w.store = newViewStore()
-	w.ship = map[int]map[uint64]bool{}
+	if w.index == nil {
+		w.store = newViewStore()
+		w.ship = map[int]map[uint64]bool{}
+	}
 	w.rng = rand.New(rand.NewSource(w.opt.Seed ^ int64(w.s)*0x9E3779B9 ^ int64(w.inc)<<32))
 
 	// Depth-0 class views: the interned leaves of the class degrees.
@@ -659,9 +669,11 @@ func (w *worker) run() error {
 	for _, gr := range restored.Ghosts {
 		w.pending[[2]int{gr.Round, gr.Peer}] = gr.IDs
 	}
-	for peer, vs := range restored.Views {
-		if err := w.store.add(peer, vs); err != nil {
-			return &JournalError{Shard: w.s, Op: "restore", Err: fmt.Errorf("%w: %w", ErrJournalCorrupt, err)}
+	if w.index == nil {
+		for peer, vs := range restored.Views {
+			if err := w.store.add(peer, vs); err != nil {
+				return &JournalError{Shard: w.s, Op: "restore", Err: fmt.Errorf("%w: %w", ErrJournalCorrupt, err)}
+			}
 		}
 	}
 	replayTo := len(restored.Records)
@@ -694,7 +706,7 @@ func (w *worker) run() error {
 			w.hwm = r
 		}
 		if err := w.emit(report{kind: reportRound, shard: w.s, round: r,
-			decisions: decs, remaining: w.remaining, retries: w.takeRetries()}); err != nil {
+			decisions: decs, remaining: w.remaining}); err != nil {
 			return err
 		}
 		stop, err := w.barrier(r)
@@ -720,12 +732,6 @@ func (w *worker) run() error {
 		}
 	}
 }
-
-// takeRetries is only meaningful on the proc wire, where the resend
-// counter is process-local and reported as deltas; the in-process
-// engine shares one atomic counter across workers and reads it at
-// finish, so its per-report delta must be zero to avoid double counts.
-func (w *worker) takeRetries() int { return 0 }
 
 func (w *worker) sweep(r int) []Decision {
 	var decs []Decision
@@ -865,7 +871,11 @@ func (w *worker) acceptData(m Message) error {
 // bodies. Bodies already stored are not re-journaled; the ack covers
 // the whole batch (journal strictly before ack, so acked views survive
 // a crash and the sender may retire them from its sent-set for good).
+// Workers that share one table never ship bodies, so they reject any.
 func (w *worker) acceptViews(m Message) error {
+	if w.index != nil {
+		return fmt.Errorf("shard: shard %d received view bodies from shard %d, but every shard interns into one table", w.s, m.From)
+	}
 	if m.Round > w.hwm {
 		return fmt.Errorf("shard: shard %d received round-%d views from shard %d with high-water mark %d", w.s, m.Round, m.From, w.hwm)
 	}
@@ -893,17 +903,20 @@ func (w *worker) send(m Message) error {
 }
 
 // exchange completes round r's boundary swap: every peer's ghost ids
-// journaled locally with their view bodies resolvable, and every
-// outgoing payload and view batch acked. Journaled legs (recovery, or
-// data that arrived early during the barrier wait) are served without
-// touching the transport; live legs run the seq/ack/retry protocol
-// under the round deadline, data and view legs retiring independently.
+// journaled locally and resolvable, and every outgoing payload (and,
+// between workers with their own tables, view batch) acked. Journaled
+// legs (recovery, or data that arrived early during the barrier wait)
+// are served without touching the transport; live legs run the
+// seq/ack/retry protocol under the round deadline, data and view legs
+// retiring independently.
 func (w *worker) exchange(r int, live bool) error {
 	// fill copies the journaled payload of peer p into the ghost slots
-	// if its ids are fully resolvable from the stored view bodies.
+	// once its ids are resolvable: at once with a shared table (the
+	// sender published them before sending), else when the stored view
+	// bodies cover them.
 	fill := func(p int) bool {
 		ids, ok := w.pending[[2]int{r, p}]
-		if !ok || !w.store.complete(p, ids) {
+		if !ok || (w.index == nil && !w.store.complete(p, ids)) {
 			return false
 		}
 		seg := w.ghostSeg[p]
@@ -941,7 +954,9 @@ func (w *worker) exchange(r int, live bool) error {
 				payload[i] = v.ID()
 			}
 			unackedData[p] = payload
-			if batch := viewClosure(w.shipOf(p), roots, nil); len(batch) > 0 {
+			if w.index != nil {
+				w.index.publish(roots)
+			} else if batch := viewClosure(w.shipOf(p), roots, nil); len(batch) > 0 {
 				unackedViews[p] = batch
 			}
 		}
@@ -1070,13 +1085,14 @@ func (w *worker) stuck(r, pendingLegs int) error {
 // view ids (local classes first, then ghosts, by first occurrence),
 // range refinement, then one interned view per new class with children
 // read through the previous depth's classes and ghost views. Ghost ids
-// resolve here — through the journal-backed body store, re-interning
-// into the local table in ghost-slot order — and nowhere else, so the
-// interning stream of a worker is deterministic and survives process
-// restarts (see views.go).
+// resolve here (resolveGhosts) and nowhere else, so the interning
+// stream of a worker is deterministic and survives process restarts
+// (see views.go).
 func (w *worker) step() error {
+	if err := w.resolveGhosts(); err != nil {
+		return err
+	}
 	k := w.rr.NumClasses()
-	ghosts := w.rr.Ghosts()
 	compact := map[uint64]int32{}
 	assign := func(id uint64) int32 {
 		key, ok := compact[id]
@@ -1089,12 +1105,7 @@ func (w *worker) step() error {
 	for c := 0; c < k; c++ {
 		w.ck[c] = assign(w.views[c].ID())
 	}
-	for s := range ghosts {
-		gv, err := w.store.resolve(w.tab, w.ghostPeer[s], w.ghostIDs[s])
-		if err != nil {
-			return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, ghosts[s], err)
-		}
-		w.ghostViews[s] = gv
+	for s, gv := range w.ghostViews {
 		// Compaction keys must be local ids: sender-local ids from two
 		// different peers may collide (or differ while denoting equal
 		// views) across tables.
@@ -1123,5 +1134,26 @@ func (w *worker) step() error {
 		w.off[c+1] = int32(len(w.flat))
 	}
 	w.tab.MakeBatch(w.flat, w.off[:k2+1], w.views[:k2])
+	return nil
+}
+
+// resolveGhosts sets every ghost slot's view from its id: by lookup in
+// the shared index, or by re-interning the shipped bodies into the
+// worker's own table in ghost-slot order.
+func (w *worker) resolveGhosts() error {
+	ghosts := w.rr.Ghosts()
+	if w.index != nil {
+		if s := w.index.resolve(w.ghostIDs, w.ghostViews); s >= 0 {
+			return &UnknownViewError{Shard: w.s, Peer: w.ghostPeer[s], Node: int(ghosts[s]), ID: w.ghostIDs[s]}
+		}
+		return nil
+	}
+	for s := range ghosts {
+		gv, err := w.store.resolve(w.tab, w.ghostPeer[s], w.ghostIDs[s])
+		if err != nil {
+			return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, ghosts[s], err)
+		}
+		w.ghostViews[s] = gv
+	}
 	return nil
 }

@@ -60,8 +60,9 @@ type Restored struct {
 type Journal interface {
 	Checkpoint(shard int, rec Record) error
 	Ghosts(shard int, gr GhostRecord) error
-	// Views persists view bodies received from peer. Callers pass only
-	// bodies not yet journaled; implementations may nevertheless dedup.
+	// Views persists view bodies received from peer (only workers that
+	// own their table receive any). Callers pass only bodies not yet
+	// journaled; implementations may nevertheless dedup.
 	Views(shard, peer int, views []WireView) error
 	// Restore returns everything the shard has durably stored. Torn or
 	// corrupt entries surface as an error wrapping ErrJournalCorrupt —

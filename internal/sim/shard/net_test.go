@@ -142,9 +142,11 @@ func TestNetTransportUnixStaleSocket(t *testing.T) {
 	}
 }
 
-// TestShardedOverSockets is the loopback differential: the engine runs
-// its full boundary protocol — view shipping included — over real TCP
-// and unix-socket connections and must stay bit-identical to RunBSP.
+// TestShardedOverSockets is the loopback differential: the in-process
+// engine runs its boundary protocol over real TCP and unix-socket
+// connections and must stay bit-identical to RunBSP. Its shards share
+// one table, so only ids cross the sockets; view shipping over sockets
+// is covered by the goWorkers suites in proc_test.go.
 func TestShardedOverSockets(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid45":   graph.Grid(4, 5),

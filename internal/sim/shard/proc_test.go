@@ -181,3 +181,35 @@ func TestRunProcContextCancel(t *testing.T) {
 		t.Fatal("canceled proc run returned nil error")
 	}
 }
+
+// TestRunProcUnderChaos is the chaos differential of workers that own
+// their tables: every incarnation interns into a fresh table, so the
+// view leg — closure walks, body journaling, re-interning on replay —
+// runs under the seeded drop/dup/reorder/delay/crash schedules of the
+// in-process suite (whose shards share one table and send ids only),
+// and the outputs must not move by a bit.
+func TestRunProcUnderChaos(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"grid45":   graph.Grid(4, 5),
+		"random60": graph.RandomConnected(60, 45, 11),
+	} {
+		want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 3} {
+			for seed := int64(1); seed <= 2; seed++ {
+				inj := SeededChaos(seed, shards)
+				got, stats, err := goWorkers(t, g, shards, NewMemJournal(), func(int) *faults.Injector { return inj })
+				label := fmt.Sprintf("%s/shards=%d/seed=%d [%s]", name, shards, seed, inj)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSame(t, label, want, got)
+				if stats.Recoveries > stats.Crashes {
+					t.Errorf("%s: %d recoveries exceed %d crashes", label, stats.Recoveries, stats.Crashes)
+				}
+			}
+		}
+	}
+}

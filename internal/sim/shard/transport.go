@@ -1,10 +1,13 @@
 // Package shard runs the bulk-synchronous class-sharing engine across
 // shards that each own a contiguous node range of the graph's CSR and
 // exchange only boundary class identities per round — the partition,
-// not the views, crosses the wire (each distinct class view's *body* is
-// shipped to a peer at most a handful of times, on first reference, so
-// shards in different processes can resolve the ids; see views.go). The
-// data plane (Transport) is allowed to be faulty: messages may be
+// not the views, crosses the wire. In-process shards (RunCtx) intern
+// into one view.Table, so an interned id already is the class identity
+// and nothing but ids is sent or journaled; worker processes
+// (RunWorker) each own a table, so each distinct class view's *body*
+// also crosses to a peer, at most a handful of times, on first
+// reference (see views.go). The data plane (Transport) is allowed to be
+// faulty: messages may be
 // dropped, duplicated, reordered or delayed, and whole shards may
 // crash; a sequence/ack/retry protocol plus a per-shard journal make
 // the engine produce outputs bit-identical to sim.RunBSP anyway
@@ -29,17 +32,20 @@ const (
 	// peer: Payload[i] is the interned view id of the i-th node of the
 	// deterministic ascending boundary list both endpoints compute from
 	// the graph (the sender's nodes adjacent to the receiver's range).
-	// The ids are local to the *sender's* view.Table; the receiver
+	// The ids are interned in the *sender's* view.Table: in-process
+	// receivers share that table and look them up, a worker process
 	// resolves them against the view bodies shipped with KindView.
 	KindData Kind = iota + 1
 	// KindAck acknowledges a KindData or KindView message, echoing
 	// Round and Seq and naming the acknowledged kind in AckOf.
 	KindAck
-	// KindView ships view bodies: the transitive closure, minus
-	// everything already acked by this peer, of the class views whose
-	// ids appear in the round's KindData payload. Bodies are journaled
-	// by the receiver before the ack, so acked views survive a crash
-	// and a sender may drop them from its resend set for good.
+	// KindView ships view bodies between worker processes (in-process
+	// shards share one table and never send it): the transitive
+	// closure, minus everything already acked by this peer, of the
+	// class views whose ids appear in the round's KindData payload.
+	// Bodies are journaled by the receiver before the ack, so acked
+	// views survive a crash and a sender may drop them from its resend
+	// set for good.
 	KindView
 
 	// kindCtrlBase separates the data plane from the control plane:
@@ -93,9 +99,10 @@ func (k Kind) String() string {
 // Message is one boundary-protocol datagram, and doubles as the frame
 // of the multi-process control plane (the wire codec in wire.go
 // serializes exactly the fields its Kind uses). Data messages are
-// small — one uint64 per boundary node — and view messages amortize to
-// nearly nothing: each distinct view body crosses a given peer link at
-// most once per sender incarnation.
+// small — one uint64 per boundary node — and view messages, sent only
+// between worker processes, amortize to nearly nothing: each distinct
+// view body crosses a given peer link at most once per sender
+// incarnation.
 type Message struct {
 	From    int // sender shard
 	To      int // destination shard

@@ -2,24 +2,38 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/view"
 )
 
-// Cross-process view-id resolution.
+// Boundary-id resolution.
 //
-// Interned view ids are local to a view.Table (they are assigned in
-// interning order), so the ids a shard puts in a KindData payload mean
-// nothing in another process. PR 7 bridged the gap with a shared
-// in-process registry; the wire deployment instead ships each class
-// view's *body* to a peer once, on first reference: alongside every
-// data payload the sender transmits the transitive closure of the
-// payload's class views minus everything the peer has already acked
-// (KindView), and the receiver re-interns the bodies into its own
-// table. Correctness needs only the equality pattern of the ids —
-// the engine's per-round compaction (worker.step) maps ids to dense
-// keys by first occurrence — so locally re-interned views refine
-// identically to shared-table views.
+// A KindData payload names each boundary node's class by its interned
+// view id, and the receiver needs the view behind it: worker.step reads
+// ghost views as the children of its next-depth class views. Interned
+// ids are local to a view.Table (assigned in interning order), so how
+// an id becomes a view is decided by the deployment, not by a setting:
+//
+//   - Shared table (RunCtx, the in-process engine). Every worker interns
+//     into the one table the caller passed, so an id already is the
+//     view's identity and only ids cross the transport. Before its data
+//     send a sender publishes the payload's views into the engine's
+//     viewIndex, and the receiver looks its ghost ids up there. Nothing
+//     is shipped or journaled beyond the ids, and the index outlives
+//     worker incarnations, so a restarted worker resolves its journaled
+//     ghosts through it too. An id missing from the index is an
+//     *UnknownViewError.
+//   - One table per process (RunWorker). An id means nothing in another
+//     process, so the sender ships each class view's *body* to a peer
+//     once, on first reference: alongside every data payload it
+//     transmits the transitive closure of the payload's class views
+//     minus everything the peer has already acked (KindView), and the
+//     receiver re-interns the bodies into its own table. Correctness
+//     needs only the equality pattern of the ids — the engine's
+//     per-round compaction (worker.step) maps ids to dense keys by first
+//     occurrence — so locally re-interned views refine identically to
+//     shared-table views. The rest of this comment concerns this case.
 //
 // Durability and exactly-once: the receiver journals fresh bodies
 // before acking, so acked views survive its crashes and the sender's
@@ -40,6 +54,56 @@ import (
 // therefore reproduces its pre-crash ids exactly, which is what lets
 // checkpoint validation (worker.validate) compare table-local ids
 // across incarnations.
+
+// viewIndex is the in-process engine's id → view map. A sender
+// publishes its payload's views before sending the payload, so any id a
+// receiver holds — received live or restored from its journal — was
+// published first. The engine owns the index, so it outlives worker
+// restarts.
+type viewIndex struct {
+	mu   sync.Mutex
+	byID map[uint64]*view.View
+}
+
+func newViewIndex() *viewIndex { return &viewIndex{byID: map[uint64]*view.View{}} }
+
+func (x *viewIndex) publish(vs []*view.View) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, v := range vs {
+		x.byID[v.ID()] = v
+	}
+}
+
+// resolve sets out[i] to the view of ids[i] and returns -1, or returns
+// the position of the first id no sender published.
+func (x *viewIndex) resolve(ids []uint64, out []*view.View) int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for i, id := range ids {
+		v, ok := x.byID[id]
+		if !ok {
+			return i
+		}
+		out[i] = v
+	}
+	return -1
+}
+
+// UnknownViewError reports a ghost id that no shard of the run
+// published to the shared view index: a boundary payload, received or
+// restored from the journal, that this run's table did not produce.
+type UnknownViewError struct {
+	Shard int    // the receiving shard
+	Peer  int    // the shard owning the ghost node
+	Node  int    // global id of the ghost node
+	ID    uint64 // the unresolvable view id
+}
+
+func (e *UnknownViewError) Error() string {
+	return fmt.Sprintf("shard: shard %d cannot resolve view id %d of ghost node %d (owned by shard %d): no shard published it",
+		e.Shard, e.ID, e.Node, e.Peer)
+}
 
 // WireView is one view body in transit: the sender-local interned id,
 // the root degree, and for Depth > 0 the root's edges with each child
