@@ -277,18 +277,20 @@ func (a *Advice) PathToLeader(x int) ([]int, error) {
 		a.parent = parent
 	})
 	parent := a.parent
-	var ports []int
-	cur := x
-	for cur != 1 {
+	// Count the hops first, so the path is allocated once at its size.
+	hops := 0
+	for cur := x; cur != 1; cur = parent[cur].ParentLabel {
 		if cur < 0 || cur >= len(parent) || parent[cur].ParentLabel == 0 {
 			return nil, fmt.Errorf("advice: label %d not in tree", x)
 		}
-		e := parent[cur]
-		ports = append(ports, e.PortChild, e.PortParent)
-		cur = e.ParentLabel
-		if len(ports) > 2*len(a.Tree)+2 {
+		hops++
+		if hops > len(a.Tree)+1 {
 			return nil, errors.New("advice: cycle in tree encoding")
 		}
+	}
+	ports := make([]int, 0, 2*hops)
+	for cur := x; cur != 1; cur = parent[cur].ParentLabel {
+		ports = append(ports, parent[cur].PortChild, parent[cur].PortParent)
 	}
 	return ports, nil
 }

@@ -3,6 +3,7 @@ package advice
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/graph"
@@ -26,6 +27,9 @@ type NaiveAdvice struct {
 	Phi   int
 	Views []bits.String // serialized distinct views of depth Phi, sorted
 	Tree  []LabeledTreeEdge
+
+	treeOnce sync.Once
+	tree     *Advice // Tree with its parent index, built on first use
 }
 
 // ComputeNaiveAdvice builds the naive advice for g. For graphs with
@@ -112,7 +116,10 @@ func (a *NaiveAdvice) RankOf(s bits.String) (int, error) {
 	return 0, errors.New("advice: view not in naive list")
 }
 
-// PathToLeader mirrors (*Advice).PathToLeader for the naive tree.
+// PathToLeader mirrors (*Advice).PathToLeader for the naive tree. The
+// Advice carrying the tree's parent index is built once and shared by
+// every call, so a naive election stays O(n) in the tree.
 func (a *NaiveAdvice) PathToLeader(x int) ([]int, error) {
-	return (&Advice{Tree: a.Tree}).PathToLeader(x)
+	a.treeOnce.Do(func() { a.tree = &Advice{Tree: a.Tree} })
+	return a.tree.PathToLeader(x)
 }

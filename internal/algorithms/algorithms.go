@@ -53,10 +53,8 @@ func NewElectFactory(tab *view.Table, advBits bits.String) (sim.Factory, error) 
 // just to decode it again would be wasted work — the encoded length is
 // still what experiments report).
 func NewElectFactoryDecoded(tab *view.Table, adv *advice.Advice) sim.Factory {
-	lab := trie.NewSharedLabeler(tab)
-	return func(simID, deg int) sim.Decider {
-		return &Elect{Adv: adv, Lab: lab}
-	}
+	prog := &Elect{Adv: adv, Lab: trie.NewSharedLabeler(tab)}
+	return func(simID, deg int) sim.Decider { return prog }
 }
 
 // Decide implements sim.Decider: wait until round φ, compute the unique
@@ -96,7 +94,8 @@ type Generic struct {
 
 // NewGenericFactory returns a sim.Factory for Generic(x).
 func NewGenericFactory(tab *view.Table, x int) sim.Factory {
-	return func(simID, deg int) sim.Decider { return &Generic{X: x, Tab: tab} }
+	prog := &Generic{X: x, Tab: tab}
+	return func(simID, deg int) sim.Decider { return prog }
 }
 
 // Decide implements sim.Decider.

@@ -23,9 +23,8 @@ func NewNaiveElectFactory(tab *view.Table, advBits bits.String) (sim.Factory, er
 	if err != nil {
 		return nil, err
 	}
-	return func(simID, deg int) sim.Decider {
-		return &NaiveElect{Adv: a}
-	}, nil
+	prog := &NaiveElect{Adv: a}
+	return func(simID, deg int) sim.Decider { return prog }, nil
 }
 
 // Decide implements sim.Decider.

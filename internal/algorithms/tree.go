@@ -22,7 +22,8 @@ type TreeElect struct {
 
 // NewTreeElectFactory returns the factory for TreeElect.
 func NewTreeElectFactory(tab *view.Table) sim.Factory {
-	return func(simID, deg int) sim.Decider { return &TreeElect{Tab: tab} }
+	prog := &TreeElect{Tab: tab}
+	return func(simID, deg int) sim.Decider { return prog }
 }
 
 // Decide implements sim.Decider: try to reconstruct the tree from the

@@ -272,15 +272,31 @@ func ParseBin(s String) (int, error) {
 //
 // Example: Concat((01), (00)) = 0011010000.
 func Concat(parts ...String) String {
-	var w Writer
+	n := 2 * max(len(parts)-1, 0) // separators
+	for _, p := range parts {
+		n += 2 * p.n
+	}
+	w := newSizedWriter(n)
 	for i, p := range parts {
 		if i > 0 {
 			w.WriteBits(0b01, 2)
 		}
 		w.WriteDoubled(p)
 	}
-	return w.String()
+	return w.take()
 }
+
+// newSizedWriter returns a writer whose buffer already holds n bits, so
+// an encoder that computed its exact output length writes without
+// reallocating.
+func newSizedWriter(n int) Writer {
+	return Writer{b: make([]byte, 0, (n+7)>>3)}
+}
+
+// take returns the accumulated bits without String's copy. Only an
+// encoder that owns a local writer may call it, and must not write
+// again afterwards: the result aliases the writer's buffer.
+func (w *Writer) take() String { return String{b: w.b, n: w.n} }
 
 // doubled[b] is the 16-bit doubling of the byte b: every bit of b,
 // most significant first, written twice.
@@ -345,15 +361,23 @@ func Decode(s String) ([]String, error) {
 // instead of materializing one intermediate bin(x) string per integer
 // (the advice tree alone flattens 4n+1 integers).
 func ConcatInts(xs ...int) String {
-	var w Writer
+	n := 2 * max(len(xs)-1, 0) // separators
+	for _, x := range xs {
+		n += 2 * binLen(x)
+	}
+	w := newSizedWriter(n)
 	for i, x := range xs {
 		if i > 0 {
 			w.WriteBits(0b01, 2)
 		}
 		w.WriteBinDoubled(x)
 	}
-	return w.String()
+	return w.take()
 }
+
+// binLen returns the length of bin(x) in bits; bin(0) is one bit long.
+// A negative x is rejected by the writer that follows.
+func binLen(x int) int { return max(mathbits.Len(uint(x)), 1) }
 
 // WriteBinDoubled appends bin(x) with every digit doubled — one term of
 // the Concat code, written without materializing bin(x).

@@ -18,7 +18,17 @@
 // Once the class count stops growing the partition is stable forever
 // (classes only ever split, and the first repeat is a fixed point); the
 // refiner is then left frozen and later Steps only deepen the class
-// views. All buffers are allocated once and reused across depths.
+// views.
+//
+// Buffers are reused across depths. The packed edge matrix grows with
+// the live class count instead of being preallocated: its worst case,
+// one row per node (2m edges), only materializes on graphs that refine
+// to discrete, and at n = 10M an eager 2m-edge buffer costs ~0.5 GB
+// before the first Step runs. Each Step computes its row offsets first;
+// when the rows outgrow the matrix, it is replaced by one of at least
+// double the capacity, capped at 2m. Growing to each depth's exact need
+// would instead reallocate at almost every depth of a deep graph, whose
+// class count creeps up one depth at a time.
 package classviews
 
 import (
@@ -45,11 +55,8 @@ type Materializer struct {
 	stable    bool
 
 	// Packed edge matrix of the class representatives, rebuilt in place
-	// every Step. flat/off grow lazily with the live class count and are
-	// recycled across depths: the worst case (one row per node) only
-	// materializes on graphs that actually refine to discrete, instead
-	// of being preallocated up front — at n=10M the old eager 2·M edge
-	// buffer cost ~0.5 GB before the first Step ran.
+	// every Step: row c is flat[off[c]:off[c+1]]. See the package comment
+	// for how it grows.
 	flat []view.Edge
 	off  []int32
 }
@@ -136,18 +143,23 @@ func (m *Materializer) Step() {
 			m.stable = m.k == m.g.N()
 		}
 	}
-	m.flat = m.flat[:0]
 	if cap(m.off) < m.k+1 {
 		m.off = make([]int32, m.k+1, m.k+m.k/2+1)
 	}
 	m.off = m.off[:m.k+1]
 	for c := 0; c < m.k; c++ {
+		m.off[c+1] = m.off[c] + int32(m.g.Deg(m.ref.Representative(c)))
+	}
+	if need := int(m.off[m.k]); cap(m.flat) < need {
+		m.flat = make([]view.Edge, min(max(need, 2*cap(m.flat)), 2*m.g.M()))
+	}
+	for c := 0; c < m.k; c++ {
 		w := m.ref.Representative(c)
-		for p := 0; p < m.g.Deg(w); p++ {
+		row := m.flat[m.off[c]:m.off[c+1]]
+		for p := range row {
 			h := m.g.At(w, p)
-			m.flat = append(m.flat, view.Edge{RemotePort: h.RemotePort, Child: m.views[prev[h.To]]})
+			row[p] = view.Edge{RemotePort: h.RemotePort, Child: m.views[prev[h.To]]}
 		}
-		m.off[c+1] = int32(len(m.flat))
 	}
 	m.tab.MakeBatch(m.flat, m.off[:m.k+1], m.next[:m.k])
 	// The depth-d view of class c's representative IS the truncation of

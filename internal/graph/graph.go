@@ -310,10 +310,19 @@ func (g *Graph) CanonicalBFSTree(root int) []TreeEdge {
 // that the arrival port is q. It returns the visited node sequence
 // (including v) or an error if the sequence does not describe a path in g.
 func (g *Graph) FollowPath(v int, ports []int) ([]int, error) {
+	return g.AppendPath(make([]int, 0, len(ports)/2+1), v, ports)
+}
+
+// AppendPath is FollowPath writing into a caller-owned buffer, in the
+// style of strconv.AppendInt: it appends the visited node sequence
+// (including v) to dst and returns the extended slice, so a caller that
+// checks many paths can reuse one buffer. On error the returned slice
+// is nil.
+func (g *Graph) AppendPath(dst []int, v int, ports []int) ([]int, error) {
 	if len(ports)%2 != 0 {
 		return nil, fmt.Errorf("graph: odd port sequence length %d", len(ports))
 	}
-	nodes := []int{v}
+	nodes := append(dst, v)
 	cur := v
 	for i := 0; i < len(ports); i += 2 {
 		p, q := ports[i], ports[i+1]

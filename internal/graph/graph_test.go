@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -270,6 +271,15 @@ func TestFollowPath(t *testing.T) {
 	}
 	if !IsSimplePath(nodes) {
 		t.Error("should be simple")
+	}
+	// AppendPath extends the caller's buffer instead of replacing it.
+	buf := append(make([]int, 0, 8), 7)
+	got, err := g.AppendPath(buf, 0, []int{0, 0, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{7, 0, 1, 2}; !reflect.DeepEqual(got, want) || &got[0] != &buf[0] {
+		t.Errorf("AppendPath = %v, want %v in the caller's buffer", got, want)
 	}
 	// Wrong arrival port.
 	if _, err := g.FollowPath(0, []int{0, 1}); err == nil {

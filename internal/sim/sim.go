@@ -316,8 +316,14 @@ func Verify(g *graph.Graph, outputs [][]int) (int, error) {
 	}
 	leader := -1
 	visited := make([]int, g.N()) // visited[u] == v+1: u seen on node v's path
+	// Every path is walked into one buffer, sized once for the longest.
+	longest := 0
+	for _, ports := range outputs {
+		longest = max(longest, len(ports))
+	}
+	buf := make([]int, 0, longest/2+1)
 	for v, ports := range outputs {
-		nodes, err := g.FollowPath(v, ports)
+		nodes, err := g.AppendPath(buf[:0], v, ports)
 		if err != nil {
 			return -1, fmt.Errorf("sim: node %d output invalid: %w", v, err)
 		}

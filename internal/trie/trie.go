@@ -142,8 +142,14 @@ func (e E2) BuildIndex() {
 	}
 }
 
-// levelEntry returns the LevelList for the given depth, or nil.
+// levelEntry returns the LevelList for the given depth, or nil. The
+// oracle and E2FromTokens build levels in depth order 2..φ, so level
+// depth sits at index depth-2; the scan is the fallback for
+// hand-assembled E2 values.
 func (e E2) levelEntry(depth int) *LevelList {
+	if k := depth - 2; k >= 0 && k < len(e) && e[k].Depth == depth {
+		return &e[k]
+	}
 	for k := range e {
 		if e[k].Depth == depth {
 			return &e[k]

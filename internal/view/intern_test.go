@@ -227,3 +227,69 @@ func TestRefinementMatchesLevels(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabRowsDoNotAlias forces every view into one shard, so that its
+// slabs fill up and are replaced several times, and checks that the edge
+// rows carved out of shared slabs alias neither each other nor the
+// caller's slice.
+func TestSlabRowsDoNotAlias(t *testing.T) {
+	tb := NewTable()
+	tb.hashHook = func(depth, deg int, edges []Edge) uint64 {
+		return hashView(depth, deg, edges) &^ (numShards - 1)
+	}
+	leaf := tb.Leaf(1)
+	// Rows of 2 to 4 edges whose first two remote ports spell the row
+	// index, so every row is a distinct view; one row is longer than a
+	// whole edge slab.
+	const count = 3 * maxSlabViews
+	rowOf := func(i int) []Edge {
+		deg := 2 + i%3
+		if i == count/2 {
+			deg = maxSlabEdges + 1
+		}
+		row := make([]Edge, deg)
+		for p := range row {
+			row[p] = Edge{Child: leaf}
+		}
+		row[0].RemotePort, row[1].RemotePort = i%64, i/64
+		return row
+	}
+	var buf []Edge // one caller slice, overwritten before every Make
+	views := make([]*View, count)
+	edges := 0
+	for i := range views {
+		buf = append(buf[:0], rowOf(i)...)
+		views[i] = tb.Make(buf)
+		edges += len(buf)
+		for p := range buf {
+			buf[p] = Edge{RemotePort: -1, Child: leaf}
+		}
+	}
+	if edges <= 2*maxSlabEdges || count <= 2*maxSlabViews {
+		t.Fatalf("%d views with %d edges do not overflow a full slab", count, edges)
+	}
+	if got := len(tb.shards[0].byDepth[1]); got != count {
+		t.Fatalf("shard 0 holds %d depth-1 views, want all %d", got, count)
+	}
+	for i, v := range views {
+		if cap(v.Edges) != len(v.Edges) {
+			t.Fatalf("view %d: cap(Edges) = %d, len = %d", i, cap(v.Edges), len(v.Edges))
+		}
+		// Appending to a row must reallocate, never write into the slab.
+		_ = append(v.Edges, Edge{RemotePort: -2, Child: leaf})
+	}
+	for i, v := range views {
+		want := rowOf(i)
+		if len(v.Edges) != len(want) || v.Deg != len(want) {
+			t.Fatalf("view %d has %d edges, want %d", i, len(v.Edges), len(want))
+		}
+		for p := range want {
+			if v.Edges[p] != want[p] {
+				t.Fatalf("view %d port %d = %+v, want %+v", i, p, v.Edges[p], want[p])
+			}
+		}
+		if tb.Make(want) != v {
+			t.Fatalf("view %d did not dedupe against its own edges", i)
+		}
+	}
+}

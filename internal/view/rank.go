@@ -181,10 +181,27 @@ func (t *Table) rankPass(d int) {
 	for len(t.ranked) <= d {
 		t.ranked = append(t.ranked, 0)
 	}
+	// Count before copying anything. Shard registries are append-only,
+	// so an unchanged count means an unchanged set: the last pass still
+	// covers everything.
+	count := 0
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		if d < len(s.byDepth) {
+			count += len(s.byDepth[d])
+		}
+		s.mu.Unlock()
+	}
+	if t.ranked[d] == count {
+		return
+	}
 	// Snapshot depth d from every shard BEFORE recursing into d-1: any
 	// parent captured here has its children registered already, so the
-	// subsequent d-1 snapshot is a superset of their children.
-	var snap []*View
+	// subsequent d-1 snapshot is a superset of their children. Views
+	// interned since the count only make the snapshot outgrow its
+	// presized capacity.
+	snap := make([]*View, 0, count)
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
@@ -192,11 +209,6 @@ func (t *Table) rankPass(d int) {
 			snap = append(snap, s.byDepth[d]...)
 		}
 		s.mu.Unlock()
-	}
-	if t.ranked[d] == len(snap) {
-		// Shard registries are append-only, so an unchanged count means
-		// an unchanged set: the last pass still covers everything.
-		return
 	}
 	if d > 0 {
 		t.rankPass(d - 1)

@@ -68,11 +68,71 @@ const numShards = 64
 // creation order, for the rank machinery; appending here under the same
 // critical section that publishes the view guarantees rank passes never
 // miss a reachable view.
+//
+// views and edges are the slabs the shard carves new views and their
+// edge rows out of, under mu: the filled prefix (len) is in use, the
+// rest (up to cap) is free. A full slab is replaced, never grown by
+// copy, because views are addressed by pointer. Slabs keep nothing
+// alive that byDepth does not already keep alive for the table's
+// lifetime.
 type shard struct {
 	mu       sync.Mutex
 	first    map[uint64]*View
 	overflow map[uint64][]*View
 	byDepth  [][]*View
+	views    []View
+	edges    []Edge
+}
+
+// Slab sizes, in views and in edges. Slabs start small and double up to
+// the cap, so a table of a few views (tests build many; TreeElect builds
+// one per Decide) stays a few hundred bytes per used shard, while a
+// large table wastes at most one partly filled slab per shard.
+const (
+	minSlabViews = 4
+	maxSlabViews = 1024
+	minSlabEdges = 16
+	maxSlabEdges = 4096
+)
+
+// slabSize returns the capacity of the slab that replaces a full one of
+// capacity cur: double it (starting at lo) until it holds need, but
+// never past hi. Callers guarantee need <= hi.
+func slabSize(cur, lo, hi, need int) int {
+	size := max(2*cur, lo)
+	for size < need {
+		size *= 2
+	}
+	return min(size, hi)
+}
+
+// newView carves a zeroed view out of the shard's view slab. Caller
+// holds s.mu.
+func (s *shard) newView() *View {
+	if len(s.views) == cap(s.views) {
+		s.views = make([]View, 0, slabSize(cap(s.views), minSlabViews, maxSlabViews, 1))
+	}
+	s.views = s.views[:len(s.views)+1]
+	return &s.views[len(s.views)-1]
+}
+
+// edgeRow copies edges into a row carved out of the shard's edge slab.
+// The row is cut with a full slice expression, so appending to it can
+// never write into a neighboring row; rows longer than a whole slab get
+// their own allocation. Caller holds s.mu.
+func (s *shard) edgeRow(edges []Edge) []Edge {
+	n := len(edges)
+	if n > maxSlabEdges {
+		row := make([]Edge, n)
+		copy(row, edges)
+		return row
+	}
+	if cap(s.edges)-len(s.edges) < n {
+		s.edges = make([]Edge, 0, slabSize(cap(s.edges), minSlabEdges, maxSlabEdges, n))
+	}
+	lo := len(s.edges)
+	s.edges = append(s.edges, edges...)
+	return s.edges[lo:len(s.edges):len(s.edges)]
 }
 
 // Table interns views. It is safe for concurrent use, so the goroutine
@@ -211,12 +271,11 @@ func (t *Table) intern(depth, deg int, edges []Edge) *View {
 			}
 		}
 	}
-	var es []Edge
+	v := s.newView()
+	v.Depth, v.Deg, v.id = depth, deg, t.nextID.Add(1)-1
 	if len(edges) > 0 {
-		es = make([]Edge, len(edges))
-		copy(es, edges)
+		v.Edges = s.edgeRow(edges)
 	}
-	v := &View{Depth: depth, Deg: deg, Edges: es, id: t.nextID.Add(1) - 1}
 	// Register for ranking before publishing in the bucket: any
 	// goroutine that can obtain v is then guaranteed a rank pass will
 	// cover it (rank passes lock every shard), so Compare cannot spin.
