@@ -488,11 +488,12 @@ func BenchmarkElectionEndToEndSequential(b *testing.B) {
 
 // E22 — the oracle at scale (DESIGN.md §6): ComputeAdvice alone (the
 // advice phase of Theorem 3.1) on the E20/E21 graph families. The
-// class-sharing oracle interns one representative view per view class
-// per depth instead of one view per node per depth, and batches the
-// trie construction and the final label sweep over a worker pool; this
-// row tracks the advice phase in isolation so oracle regressions are
-// not masked by the simulation phase of E21.
+// oracle computes on the class quotient — per-class ranks, tries over
+// class rows and per-depth label sweeps, two depths alive at a time —
+// and interns no view; it batches each depth's trie construction and
+// label sweep over a worker pool. This row tracks the advice phase in
+// isolation so oracle regressions are not masked by the simulation
+// phase of E21.
 func BenchmarkOracleScale(b *testing.B) {
 	for _, tc := range []struct {
 		name string

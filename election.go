@@ -176,9 +176,9 @@ func (s *System) ComputeAdvice(g *Graph) (*Advice, Bits, error) {
 }
 
 // ComputeAdviceCtx is ComputeAdvice under a context: the oracle checks
-// for cancellation at every materialization depth, every trie level and
-// before the final label sweep, so a per-request timeout (the advice
-// service's, internal/serve) actually stops oracle work.
+// for cancellation at every depth of its quotient walk and before the
+// final labels, so a per-request timeout (the advice service's,
+// internal/serve) actually stops oracle work.
 func (s *System) ComputeAdviceCtx(ctx context.Context, g *Graph) (*Advice, Bits, error) {
 	o := advice.NewOracle(s.table())
 	a, err := o.ComputeAdviceCtx(ctx, g)

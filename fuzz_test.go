@@ -9,8 +9,9 @@ package election
 //	FuzzElectionConformance: the part and view engines must agree on
 //	φ/feasibility, and the BSP, sequential and asynchronous engines
 //	must elect identically on every instance.
-//	FuzzAdviceRoundTrip: Encode∘Decode is the identity on oracle
-//	advice, and Decode never panics on arbitrary bit strings.
+//	FuzzAdviceRoundTrip: the oracle's advice equals the view-based
+//	reference's bit for bit, Encode∘Decode is the identity on it, and
+//	Decode never panics on arbitrary bit strings.
 
 import (
 	"reflect"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/advice"
 	"repro/internal/bits"
+	"repro/internal/view"
 )
 
 // byteGraph builds a connected simple graph on n nodes directly from
@@ -204,6 +206,13 @@ func FuzzAdviceRoundTrip(f *testing.F) {
 		a, enc, err := s.ComputeAdvice(g)
 		if err != nil {
 			t.Fatalf("ComputeAdvice: %v", err)
+		}
+		ref, err := advice.NewOracle(view.NewTable()).ComputeAdviceReference(g)
+		if err != nil {
+			t.Fatalf("ComputeAdviceReference: %v", err)
+		}
+		if re := ref.Encode(); !bits.Equal(re, enc) {
+			t.Fatalf("advice differs from the reference: %d bits vs %d", enc.Len(), re.Len())
 		}
 		dec, err := advice.Decode(enc)
 		if err != nil {

@@ -11,10 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
-	"repro/internal/classviews"
 	"repro/internal/graph"
 	"repro/internal/trie"
 	"repro/internal/view"
@@ -36,7 +34,7 @@ type LabeledTreeEdge struct {
 // per PathToLeader call.
 type Advice struct {
 	Phi  int               // election index of the graph
-	E1   *trie.Trie        // discriminates depth-1 views
+	E1   trie.Trie         // discriminates depth-1 views
 	E2   trie.E2           // discriminates deeper views, level by level
 	Tree []LabeledTreeEdge // canonical BFS tree, labels in {1..n}, root label 1
 
@@ -49,11 +47,10 @@ type Advice struct {
 	parent []LabeledTreeEdge // indexed by child label; ParentLabel == 0 means absent
 }
 
-// Oracle holds the state shared between advice computation and any
-// subsequent label queries (tests use it to cross-check node behaviour).
-// The labeler is the concurrency-safe SharedLabeler because
-// ComputeAdvice builds the per-depth couple tries and runs the final
-// label sweep over a worker pool.
+// Oracle holds the view table and labeler of the view-based paths:
+// ComputeNaiveAdvice, ComputeAdviceReference and NodeLabel.
+// ComputeAdvice uses neither: it computes the advice on the class
+// quotient and interns no view.
 type Oracle struct {
 	Tab     *view.Table
 	Labeler *trie.SharedLabeler
@@ -78,143 +75,79 @@ func distinctSorted(tab *view.Table, vs []*view.View) []*view.View {
 	return out
 }
 
-// oracleLevel is one depth of the class-sharing materialization kept by
-// ComputeAdvice: the interned class views (indexed by class, one per
-// distinct view of that depth) and each class's class at the previous
-// depth (classes only ever split, so every depth-i class sits inside
-// exactly one depth-(i-1) class — its view's truncation).
-type oracleLevel struct {
-	views  []*view.View
-	parent []int32
-}
-
 // ComputeAdvice is Algorithm 5 of the paper. It requires g to be feasible
 // and returns the decoded advice; use (*Advice).Encode for the bit string.
 //
-// The oracle shares the class-sharing materializer with the simulation
-// engine (internal/classviews): at every depth below φ it interns one
-// representative view per view class instead of one view per node (the
-// per-node Levels pass this replaces was the last superlinear interning
-// path in the pipeline). Depth φ has n singleton classes by definition,
-// so the final depth necessarily interns n views — but their children
-// are the already-shared class views of depth φ−1. The couple tries of
-// each depth and the final n-node label sweep are batched over a worker
-// pool; that is sound because trie splits and labels are pure functions
-// of (view set, E1, E2 prefix), and deterministic because BuildTrie's
-// output is a function of the candidate *set* (every split is decided
-// by canonically distinguished elements, not by input order).
+// Everything Algorithm 5 reads off the distinct views of a depth — E1
+// over the depth-1 views, the couples of E2 grouping the depth-i views
+// by truncation, the tries' canonical splits and the temporary labels —
+// is a function of the view *set*, and by the Yamashita–Kameda quotient
+// argument the distinct depth-i views are exactly the depth-i
+// refinement classes: a class's truncation is its class one depth up,
+// and its children are the neighbors' classes one depth up. So the
+// oracle walks the class quotient depth by depth (quotient), with two
+// depths alive at a time, and computes the canonical ranks, the tries
+// and the labels on dense per-class arrays. It interns no view; the
+// tries it builds are exactly those the view-based BuildTrie builds,
+// because every split is decided by canonically distinguished elements
+// and equal child class means equal child view
+// (ComputeAdviceReference, pinned bit-identical by the
+// TestOracleEquivalence* suites). The couple tries of a depth and its
+// label sweep run over a worker pool.
 func (o *Oracle) ComputeAdvice(g *graph.Graph) (*Advice, error) {
 	return o.ComputeAdviceCtx(context.Background(), g)
 }
 
-// ComputeAdviceCtx is ComputeAdvice under a context: every phase that
-// scales with the graph — the per-depth materialization loop, each E2
-// level's trie build, and the final label sweep — begins with a
-// cancellation checkpoint, so a per-request timeout actually stops
-// oracle work instead of merely abandoning its result. On cancellation
-// the returned error wraps ctx.Err() (errors.Is-able against
-// context.Canceled / context.DeadlineExceeded).
+// ComputeAdviceCtx is ComputeAdvice under a context: every depth of the
+// quotient walk (refinement, ranks, the E2 level's tries, the label
+// sweep) and the final label checks begin with a cancellation
+// checkpoint, so a per-request timeout actually stops oracle work
+// instead of merely abandoning its result. On cancellation the returned
+// error wraps ctx.Err() (errors.Is-able against context.Canceled /
+// context.DeadlineExceeded).
 func (o *Oracle) ComputeAdviceCtx(ctx context.Context, g *graph.Graph) (*Advice, error) {
 	n := g.N()
 	if n < 3 {
 		return nil, fmt.Errorf("advice: leader election on %d node(s) is degenerate; model requires n >= 3", n)
 	}
-	mat := classviews.New(o.Tab, g)
-	// levels[i] aligns with depth i; the oracle never reads depth 0 (E1
-	// starts at depth 1), so index 0 stays a placeholder.
-	levels := []oracleLevel{{}}
-	count := mat.NumClasses()
-	prev := make([]int32, n)
-	for count < n {
+	q := newQuotient(g)
+	var e1 trie.Trie
+	var e2 trie.E2
+	for q.cur.k < n {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("advice: materialization canceled at depth %d: %w", mat.Depth(), err)
+			return nil, fmt.Errorf("advice: quotient canceled at depth %d: %w", q.depth+1, err)
 		}
-		copy(prev, mat.Class())
-		mat.Step()
-		k := mat.NumClasses()
-		if k == count {
+		if !q.step() {
 			return nil, errors.New("advice: graph is infeasible (symmetric views)")
 		}
-		count = k
-		lv := oracleLevel{
-			views:  append([]*view.View(nil), mat.Views()...),
-			parent: make([]int32, k),
-		}
-		for c := 0; c < k; c++ {
-			lv.parent[c] = prev[mat.Representative(c)]
-		}
-		levels = append(levels, lv)
-	}
-	phi := mat.Depth()
-	lb := o.Labeler
-
-	// E1 discriminates all depth-1 views: exactly the depth-1 class
-	// views (the equivalence invariant of internal/part makes classes
-	// one per distinct view).
-	e1 := lb.BuildTrie(levels[1].views, nil, nil)
-
-	// E2: for each depth i = 2..phi, for each depth-(i-1) view B' with
-	// label j, if several depth-i views share the truncation B', add the
-	// couple (j, BuildTrie of that set). The truncation of class c's
-	// view is its parent class's view, so grouping is a counting pass
-	// over parent ids — no Truncate walks. The couples of one depth are
-	// independent given the E2 prefix below them, so their tries are
-	// built in parallel.
-	var e2 trie.E2
-	for i := 2; i <= phi; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("advice: trie build canceled at depth %d: %w", i, err)
-		}
-		cur, par := levels[i].views, levels[i].parent
-		kPrev := len(levels[i-1].views)
-		// Bucket the depth-i classes by parent class, in parent order.
-		off := make([]int32, kPrev+1)
-		for _, p := range par {
-			off[p+1]++
-		}
-		for p := 0; p < kPrev; p++ {
-			off[p+1] += off[p]
-		}
-		grouped := make([]*view.View, len(cur))
-		fill := append([]int32(nil), off[:kPrev]...)
-		for c, p := range par {
-			grouped[fill[p]] = cur[c]
-			fill[p]++
-		}
-		var parents []int32 // parent classes whose group needs a trie
-		for p := 0; p < kPrev; p++ {
-			if off[p+1]-off[p] > 1 {
-				parents = append(parents, int32(p))
+		if q.depth == 1 {
+			e1 = q.depth1()
+		} else {
+			lvl, err := q.level()
+			if err != nil {
+				return nil, err
 			}
+			e2 = append(e2, lvl)
+			q.sweep(&e2[len(e2)-1])
 		}
-		couples := make([]trie.Couple, len(parents))
-		parallelDo(len(parents), 1, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				p := parents[t]
-				couples[t] = trie.Couple{
-					J: lb.RetrieveLabel(levels[i-1].views[p], e1, e2),
-					T: lb.BuildTrie(grouped[off[p]:off[p+1]], e1, e2),
-				}
-			}
-		})
-		sort.Slice(couples, func(a, b int) bool { return couples[a].J < couples[b].J })
-		e2 = append(e2, trie.NewLevelList(i, couples))
+		// Ranks order the children of the next depth's rows; depth φ
+		// has none.
+		if q.cur.k < n {
+			q.rank()
+		}
 	}
+	phi := q.depth
 
-	// Final labels at depth phi, one RetrieveLabel per node (classes are
-	// singletons here, so Views()[Class()[v]] is B^phi(v)), swept over
-	// the worker pool; the validity checks run afterwards in node order,
-	// so the diagnostics match the sequential oracle's.
-	finalViews, cls := levels[phi].views, mat.Class()
+	// Final labels: classes are singletons at depth φ. The validity
+	// checks run in node order, so the diagnostics match the reference
+	// oracle's.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("advice: label sweep canceled: %w", err)
 	}
 	labelOf := make([]int, n)
-	parallelDo(n, sweepChunk(n), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			labelOf[v] = lb.RetrieveLabel(finalViews[cls[v]], e1, e2)
-		}
-	})
+	for v, c := range q.cur.class {
+		labelOf[v] = int(q.cur.label[c])
+	}
 	root := -1
 	seenBy := make([]int, n+1) // label -> node+1 that carries it
 	for v := 0; v < n; v++ {
@@ -233,24 +166,31 @@ func (o *Oracle) ComputeAdviceCtx(ctx context.Context, g *graph.Graph) (*Advice,
 	if root < 0 {
 		return nil, errors.New("advice: no node received label 1")
 	}
-	var tree []LabeledTreeEdge
-	for _, e := range g.CanonicalBFSTree(root) {
-		tree = append(tree, LabeledTreeEdge{
-			ParentLabel: labelOf[e.Parent],
+	// Order A2 by (parent label, parent port), so the encoded advice is a
+	// pure function of the anonymous graph: two port-isomorphic graphs
+	// get bit-identical advice no matter how their construction numbered
+	// the nodes. CanonicalBFSTree lists each parent's edges by port and
+	// the labels are a permutation of 1..n, so a stable counting sort on
+	// the parent label is the whole sort.
+	edges := g.CanonicalBFSTree(root)
+	at := make([]int, n+2)
+	for _, e := range edges {
+		at[labelOf[e.Parent]+1]++
+	}
+	for l := 1; l <= n; l++ {
+		at[l+1] += at[l]
+	}
+	tree := make([]LabeledTreeEdge, len(edges))
+	for _, e := range edges {
+		l := labelOf[e.Parent]
+		tree[at[l]] = LabeledTreeEdge{
+			ParentLabel: l,
 			ChildLabel:  labelOf[e.Child],
 			PortParent:  e.PortParent,
 			PortChild:   e.PortChild,
-		})
-	}
-	// Order A2 by labels so the encoded advice is a pure function of the
-	// anonymous graph: two port-isomorphic graphs get bit-identical
-	// advice no matter how their construction numbered the nodes.
-	sort.Slice(tree, func(i, j int) bool {
-		if tree[i].ParentLabel != tree[j].ParentLabel {
-			return tree[i].ParentLabel < tree[j].ParentLabel
 		}
-		return tree[i].PortParent < tree[j].PortParent
-	})
+		at[l]++
+	}
 	return &Advice{Phi: phi, E1: e1, E2: e2, Tree: tree}, nil
 }
 

@@ -2,6 +2,7 @@ package advice
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -75,4 +76,48 @@ func sweepChunk(n int) int {
 		c = 64
 	}
 	return c
+}
+
+// sortParallel sorts s by cmp over GOMAXPROCS goroutines: contiguous
+// runs are sorted concurrently, then merged pairwise, each round's
+// merges running concurrently, through buf (at least as long as s).
+// Keys must be distinct — the callers sort classes, whose canonical
+// keys never tie — so the result is that of slices.SortFunc.
+func sortParallel(s, buf []int32, cmp func(a, b int32) int) {
+	runs := runtime.GOMAXPROCS(0)
+	if len(s) < 1<<14 || runs < 2 {
+		slices.SortFunc(s, cmp)
+		return
+	}
+	width := (len(s) + runs - 1) / runs
+	parallelDo(len(s), width, func(lo, hi int) { slices.SortFunc(s[lo:hi], cmp) })
+	src, dst := s, buf[:len(s)]
+	for ; width < len(s); width *= 2 {
+		pairs := (len(s) + 2*width - 1) / (2 * width)
+		parallelDo(pairs, 1, func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				a := p * 2 * width
+				m, b := min(a+width, len(s)), min(a+2*width, len(s))
+				mergeRuns(dst[a:b], src[a:m], src[m:b], cmp)
+			}
+		})
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+}
+
+// mergeRuns merges the sorted runs x and y into dst.
+func mergeRuns(dst, x, y []int32, cmp func(a, b int32) int) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(y) || (i < len(x) && cmp(x[i], y[j]) <= 0) {
+			dst[k] = x[i]
+			i++
+		} else {
+			dst[k] = y[j]
+			j++
+		}
+	}
 }

@@ -54,42 +54,40 @@ func TestAdviceTrieQueriesWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var checkDepth1 func(tr *trie.Trie)
-	checkDepth1 = func(tr *trie.Trie) {
-		if tr.IsLeaf() {
-			return
+	// queries calls check on the (A, B) of every internal node of tr,
+	// read off its preorder token stream.
+	queries := func(tr trie.Trie, check func(a, b int)) {
+		for tok := tr.Tokens(); len(tok) > 0; {
+			if tok[0] == 0 {
+				tok = tok[1:]
+				continue
+			}
+			check(tok[1], tok[2])
+			tok = tok[3:]
 		}
-		if tr.A != 0 && tr.A != 1 {
-			t.Errorf("depth-1 query kind %d", tr.A)
-		}
-		if tr.B < 1 {
-			t.Errorf("depth-1 query parameter %d", tr.B)
-		}
-		checkDepth1(tr.Left)
-		checkDepth1(tr.Right)
 	}
-	checkDepth1(a.E1)
+	queries(a.E1, func(kind, b int) {
+		if kind != 0 && kind != 1 {
+			t.Errorf("depth-1 query kind %d", kind)
+		}
+		if b < 1 {
+			t.Errorf("depth-1 query parameter %d", b)
+		}
+	})
 	maxDeg := g.MaxDegree()
-	var checkDeep func(tr *trie.Trie)
-	checkDeep = func(tr *trie.Trie) {
-		if tr.IsLeaf() {
-			return
-		}
-		if tr.A < 0 || tr.A >= maxDeg {
-			t.Errorf("deep query port %d out of [0,%d)", tr.A, maxDeg)
-		}
-		if tr.B < 1 || tr.B > g.N() {
-			t.Errorf("deep query label %d out of [1,n]", tr.B)
-		}
-		checkDeep(tr.Left)
-		checkDeep(tr.Right)
-	}
 	for _, level := range a.E2 {
 		for _, c := range level.Couples {
 			if c.J < 1 || c.J > g.N() {
 				t.Errorf("couple index %d out of [1,n]", c.J)
 			}
-			checkDeep(c.T)
+			queries(c.T, func(port, label int) {
+				if port < 0 || port >= maxDeg {
+					t.Errorf("deep query port %d out of [0,%d)", port, maxDeg)
+				}
+				if label < 1 || label > g.N() {
+					t.Errorf("deep query label %d out of [1,n]", label)
+				}
+			})
 		}
 	}
 	// E2 levels cover exactly depths 2..phi.

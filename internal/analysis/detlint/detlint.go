@@ -20,7 +20,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
 	Doc: "forbid time.Now, global math/rand and unsorted map-iteration writes " +
-		"in the determinism-critical packages (part, view, trie, canon, classviews, sim)",
+		"in the determinism-critical packages (part, view, trie, advice, canon, classviews, sim)",
 	Run: run,
 }
 
@@ -31,6 +31,7 @@ var critical = map[string]bool{
 	"repro/internal/part":       true,
 	"repro/internal/view":       true,
 	"repro/internal/trie":       true,
+	"repro/internal/advice":     true,
 	"repro/internal/canon":      true,
 	"repro/internal/classviews": true,
 	"repro/internal/sim":        true,

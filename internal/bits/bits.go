@@ -119,18 +119,11 @@ func FirstDiff(s, t String) int {
 // Compare orders bit strings lexicographically, with a proper prefix
 // ordered before any of its extensions. It returns -1, 0 or +1.
 func Compare(s, t String) int {
-	n := s.n
-	if t.n < n {
-		n = t.n
-	}
-	for i := 0; i < n; i++ {
-		sb, tb := s.Bit(i), t.Bit(i)
-		if sb != tb {
-			if tb {
-				return -1
-			}
-			return 1
+	if i := FirstDiff(s, t); i >= 0 {
+		if t.Bit(i) {
+			return -1
 		}
+		return 1
 	}
 	switch {
 	case s.n < t.n:
@@ -276,27 +269,31 @@ func Concat(parts ...String) String {
 	for _, p := range parts {
 		n += 2 * p.n
 	}
-	w := newSizedWriter(n)
+	w := NewWriter(n)
 	for i, p := range parts {
 		if i > 0 {
 			w.WriteBits(0b01, 2)
 		}
 		w.WriteDoubled(p)
 	}
-	return w.take()
+	return w.Take()
 }
 
-// newSizedWriter returns a writer whose buffer already holds n bits, so
-// an encoder that computed its exact output length writes without
+// NewWriter returns a writer whose buffer already holds n bits, so an
+// encoder that computed its exact output length writes without
 // reallocating.
-func newSizedWriter(n int) Writer {
+func NewWriter(n int) Writer {
 	return Writer{b: make([]byte, 0, (n+7)>>3)}
 }
 
-// take returns the accumulated bits without String's copy. Only an
-// encoder that owns a local writer may call it, and must not write
-// again afterwards: the result aliases the writer's buffer.
-func (w *Writer) take() String { return String{b: w.b, n: w.n} }
+// Take returns the accumulated bits without String's copy and resets
+// the writer to empty: the result owns the buffer, so an encoder that
+// sized its writer with NewWriter allocates exactly once.
+func (w *Writer) Take() String {
+	s := String{b: w.b, n: w.n}
+	*w = Writer{}
+	return s
+}
 
 // doubled[b] is the 16-bit doubling of the byte b: every bit of b,
 // most significant first, written twice.
@@ -363,21 +360,21 @@ func Decode(s String) ([]String, error) {
 func ConcatInts(xs ...int) String {
 	n := 2 * max(len(xs)-1, 0) // separators
 	for _, x := range xs {
-		n += 2 * binLen(x)
+		n += 2 * BinLen(x)
 	}
-	w := newSizedWriter(n)
+	w := NewWriter(n)
 	for i, x := range xs {
 		if i > 0 {
 			w.WriteBits(0b01, 2)
 		}
 		w.WriteBinDoubled(x)
 	}
-	return w.take()
+	return w.Take()
 }
 
-// binLen returns the length of bin(x) in bits; bin(0) is one bit long.
+// BinLen returns the length of bin(x) in bits; bin(0) is one bit long.
 // A negative x is rejected by the writer that follows.
-func binLen(x int) int { return max(mathbits.Len(uint(x)), 1) }
+func BinLen(x int) int { return max(mathbits.Len(uint(x)), 1) }
 
 // WriteBinDoubled appends bin(x) with every digit doubled — one term of
 // the Concat code, written without materializing bin(x).

@@ -1,7 +1,9 @@
 // Package classviews materializes one interned view per view-equivalence
-// class per depth — the class-sharing core shared by the bulk-synchronous
-// simulation engine (sim.RunBSP) and the Theorem 3.1 oracle
-// (advice.ComputeAdvice).
+// class per depth — the class-sharing core of the simulation engines
+// (sim.RunBSP and the asynchronous engine), which must hand every node
+// its view B^r(v). The Theorem 3.1 oracle (advice.ComputeAdvice) does
+// not use it: it computes on the class quotient itself and interns no
+// view.
 //
 // Nodes in the same view-equivalence class at depth l carry *identical*
 // B^l(v) — the Yamashita–Kameda quotient argument behind Proposition

@@ -3,63 +3,85 @@ package trie
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Tokens serializes t as a self-delimiting preorder integer stream:
 // a leaf is the single token 0; an internal node is 1, A, B followed by
 // the streams of its two children. Combined with the doubling code of
 // internal/bits this realizes the paper's bin(Tr) within the O(n log n)
-// budget of Proposition 3.2.
-func (t *Trie) Tokens() []int {
+// budget of Proposition 3.2. The stream is the node array in order.
+func (t Trie) Tokens() []int {
 	// A trie with L leaves has L-1 internal nodes: 4L-3 tokens exactly.
-	return t.appendTokens(make([]int, 0, 4*t.leaves-3))
+	return t.appendTokens(make([]int, 0, 4*t.Leaves()-3))
 }
 
-func (t *Trie) appendTokens(out []int) []int {
-	if t.IsLeaf() {
-		return append(out, 0)
+func (t Trie) appendTokens(out []int) []int {
+	for _, nd := range t {
+		if nd.right == 0 {
+			out = append(out, 0)
+		} else {
+			out = append(out, 1, int(nd.a), int(nd.b))
+		}
 	}
-	out = append(out, 1, t.A, t.B)
-	out = t.Left.appendTokens(out)
-	return t.Right.appendTokens(out)
+	return out
 }
 
 // FromTokens parses a trie from the front of a token stream, returning
-// the trie and the number of tokens consumed.
-func FromTokens(tokens []int) (*Trie, int, error) {
-	pos := 0
-	var parse func() (*Trie, error)
-	parse = func() (*Trie, error) {
+// the trie and the number of tokens consumed. The stream is decoded
+// advice, input from outside the program, so the parse runs on an
+// explicit stack (a degenerate trie cannot grow the goroutine stack),
+// and a query value that does not fit the int32 node is an error — a
+// silent truncation would turn corrupt advice into a wrong label.
+func FromTokens(tokens []int) (Trie, int, error) {
+	// First pass: validate, and count the nodes so the trie is
+	// allocated once at its size.
+	nodes, pos := 0, 0
+	for open := 1; open > 0; nodes++ { // open: subtrees still to parse
 		if pos >= len(tokens) {
-			return nil, errors.New("trie: truncated token stream")
+			return nil, 0, errors.New("trie: truncated token stream")
 		}
-		tag := tokens[pos]
-		pos++
-		switch tag {
+		switch tag := tokens[pos]; tag {
 		case 0:
-			return NewLeaf(), nil
+			pos++
+			open--
 		case 1:
-			if pos+1 >= len(tokens) {
-				return nil, errors.New("trie: truncated query")
+			if pos+2 >= len(tokens) {
+				return nil, 0, errors.New("trie: truncated query")
 			}
-			a, b := tokens[pos], tokens[pos+1]
-			pos += 2
-			left, err := parse()
-			if err != nil {
-				return nil, err
+			a, b := tokens[pos+1], tokens[pos+2]
+			if a != int(int32(a)) || b != int(int32(b)) {
+				return nil, 0, fmt.Errorf("trie: query (%d, %d) outside int32", a, b)
 			}
-			right, err := parse()
-			if err != nil {
-				return nil, err
-			}
-			return NewInternal(a, b, left, right), nil
+			pos += 3
+			open++
 		default:
-			return nil, fmt.Errorf("trie: invalid tag %d", tag)
+			return nil, 0, fmt.Errorf("trie: invalid tag %d", tag)
 		}
 	}
-	t, err := parse()
-	if err != nil {
-		return nil, 0, err
+	if nodes > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("trie: %d nodes overflow the int32 child index", nodes)
+	}
+	// Second pass: fill. A node that follows a leaf is the right child
+	// of the innermost internal node still waiting for one.
+	t := make(Trie, nodes)
+	var stackBuf [32]int32
+	waiting := stackBuf[:0]
+	afterLeaf := false
+	pos = 0
+	for i := range t {
+		if afterLeaf {
+			p := waiting[len(waiting)-1]
+			waiting = waiting[:len(waiting)-1]
+			t[p].right = int32(i)
+		}
+		if afterLeaf = tokens[pos] == 0; afterLeaf {
+			pos++
+			continue
+		}
+		t[i] = node{a: int32(tokens[pos+1]), b: int32(tokens[pos+2])}
+		pos += 3
+		waiting = append(waiting, int32(i))
 	}
 	return t, pos, nil
 }
@@ -88,21 +110,29 @@ func (e E2) TokensE2() []int {
 	return out
 }
 
-// E2FromTokens inverts TokensE2.
+// E2FromTokens inverts TokensE2. Counts read from the stream size no
+// allocation beyond what the remaining tokens can fill: a couple takes
+// at least two tokens (J and a leaf), a level at least two (its header).
 func E2FromTokens(tokens []int) (E2, error) {
 	if len(tokens) == 0 {
 		return nil, errors.New("trie: empty E2 stream")
 	}
 	nLevels := tokens[0]
 	pos := 1
-	var e2 E2
+	if nLevels < 0 || nLevels > (len(tokens)-pos)/2 {
+		return nil, errors.New("trie: truncated E2 level header")
+	}
+	e2 := make(E2, 0, nLevels)
 	for i := 0; i < nLevels; i++ {
 		if pos+1 >= len(tokens) {
 			return nil, errors.New("trie: truncated E2 level header")
 		}
 		depth, nCouples := tokens[pos], tokens[pos+1]
 		pos += 2
-		var couples []Couple
+		if nCouples < 0 || nCouples > (len(tokens)-pos)/2 {
+			return nil, errors.New("trie: truncated E2 couple")
+		}
+		couples := make([]Couple, 0, nCouples)
 		for c := 0; c < nCouples; c++ {
 			if pos >= len(tokens) {
 				return nil, errors.New("trie: truncated E2 couple")

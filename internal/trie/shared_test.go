@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 )
 
 // buildAdviceLike constructs a realistic (E1, E2) pair over the distinct
-// views of a graph, the same way ComputeAdvice does, so labeler variants
-// can be compared on the structures they actually serve.
-func buildAdviceLike(t *testing.T, tab *view.Table, g *graph.Graph, phi int) (*Labeler, *Trie, E2, [][]*view.View) {
+// views of a graph, the same way ComputeAdviceReference does, so labels
+// and builders can be compared on the structures they actually serve.
+func buildAdviceLike(t *testing.T, tab *view.Table, g *graph.Graph, phi int) (*SharedLabeler, Trie, E2, [][]*view.View) {
 	t.Helper()
-	lb := NewLabeler(tab)
+	lb := NewSharedLabeler(tab)
 	levels := view.Levels(tab, g, phi)
 	distinctAt := func(i int) []*view.View {
 		seen := make(map[*view.View]bool)
@@ -58,7 +59,7 @@ func TestLevelIndexMatchesReferenceScan(t *testing.T) {
 	for i, l := range e2 {
 		plain[i] = LevelList{Depth: l.Depth, Couples: l.Couples}
 	}
-	fast, slow := NewLabeler(tab), NewLabeler(tab)
+	fast, slow := NewSharedLabeler(tab), NewSharedLabeler(tab)
 	for depth := 1; depth < len(levels); depth++ {
 		for v, b := range levels[depth] {
 			if got, want := fast.RetrieveLabel(b, e1, e2), slow.RetrieveLabel(b, e1, plain); got != want {
@@ -92,7 +93,7 @@ func TestBuildIndexOnHandAssembledE2(t *testing.T) {
 	ref := make(E2, len(hand))
 	copy(ref, hand)
 	hand.BuildIndex()
-	fast, slow := NewLabeler(tab), NewLabeler(tab)
+	fast, slow := NewSharedLabeler(tab), NewSharedLabeler(tab)
 	for depth := 1; depth < len(levels); depth++ {
 		for _, b := range levels[depth] {
 			if got, want := fast.RetrieveLabel(b, e1, hand), slow.RetrieveLabel(b, e1, ref); got != want {
@@ -102,20 +103,20 @@ func TestBuildIndexOnHandAssembledE2(t *testing.T) {
 	}
 }
 
-// TestSharedLabelerMatchesLabeler pins the concurrency-safe labeler to
-// the per-node one, including under concurrent queries from many
-// goroutines (run with -race in CI).
-func TestSharedLabelerMatchesLabeler(t *testing.T) {
+// TestSharedLabelerConcurrentMatchesSequential pins labels queried from
+// many goroutines at once on one SharedLabeler to those of a labeler
+// queried sequentially (run with -race in CI).
+func TestSharedLabelerConcurrentMatchesSequential(t *testing.T) {
 	g := graph.RandomConnected(30, 25, 3)
 	tab := view.NewTable()
 	_, e1, e2, levels := buildAdviceLike(t, tab, g, 4)
-	lb := NewLabeler(tab)
+	seq := NewSharedLabeler(tab)
 	sl := NewSharedLabeler(tab)
 	want := make([][]int, len(levels))
 	for depth := 1; depth < len(levels); depth++ {
 		want[depth] = make([]int, len(levels[depth]))
 		for v, b := range levels[depth] {
-			want[depth][v] = lb.RetrieveLabel(b, e1, e2)
+			want[depth][v] = seq.RetrieveLabel(b, e1, e2)
 		}
 	}
 	var wg sync.WaitGroup
@@ -128,7 +129,7 @@ func TestSharedLabelerMatchesLabeler(t *testing.T) {
 				for v, b := range levels[depth] {
 					if got := sl.RetrieveLabel(b, e1, e2); got != want[depth][v] {
 						select {
-						case errs <- "shared labeler disagrees":
+						case errs <- "concurrent labels disagree with sequential ones":
 						default:
 						}
 					}
@@ -140,5 +141,70 @@ func TestSharedLabelerMatchesLabeler(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestRowsBuildMatchesBuildTrie pins the class-row builder to the view
+// builder: numbering each depth's distinct views as classes, Rows.Build
+// over a group of classes sharing a truncation writes exactly the trie
+// BuildTrie returns for the group's views.
+func TestRowsBuildMatchesBuildTrie(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.RandomConnected(60, 20, 2), // φ = 3
+		graph.Lollipop(3, 10),            // φ = 4
+		graph.Lollipop(3, 14),
+	} {
+		tab := view.NewTable()
+		phi, _ := view.ElectionIndex(tab, g)
+		lb, e1, e2, levels := buildAdviceLike(t, tab, g, phi)
+		classes := func(d int) ([]*view.View, map[*view.View]int32) {
+			var vs []*view.View
+			id := map[*view.View]int32{}
+			for _, v := range levels[d] {
+				if _, ok := id[v]; !ok {
+					id[v] = int32(len(vs))
+					vs = append(vs, v)
+				}
+			}
+			return vs, id
+		}
+		groups := 0
+		for d := 2; d <= phi; d++ {
+			prev, prevID := classes(d - 1)
+			cur, _ := classes(d)
+			r := Rows{Off: []int32{0}, Rank: make([]int32, len(prev)), Label: make([]int32, len(prev))}
+			for c, rk := range tab.Ranks(prev, nil) {
+				r.Rank[c] = int32(rk & (1<<32 - 1))
+				r.Label[c] = int32(lb.RetrieveLabel(prev[c], e1, e2))
+			}
+			byTrunc := map[*view.View][]int32{}
+			for c, v := range cur {
+				for _, e := range v.Edges {
+					r.Child = append(r.Child, prevID[e.Child])
+				}
+				r.Off = append(r.Off, int32(len(r.Child)))
+				byTrunc[tab.Truncate(v)] = append(byTrunc[tab.Truncate(v)], int32(c))
+			}
+			for _, tr := range prev {
+				members := byTrunc[tr]
+				if len(members) < 2 {
+					continue
+				}
+				groups++
+				vs := make([]*view.View, len(members))
+				for i, c := range members {
+					vs[i] = cur[c]
+				}
+				want := lb.BuildTrie(vs, e1, e2)
+				got := make(Trie, 2*len(members)-1)
+				r.Build(got, members, make([]int32, len(members)))
+				if !slices.Equal(got, want) {
+					t.Fatalf("depth %d: Rows.Build %v, BuildTrie %v", d, got, want)
+				}
+			}
+		}
+		if groups == 0 {
+			t.Fatal("no group of two or more classes to compare")
+		}
 	}
 }

@@ -12,47 +12,92 @@
 // 0?". Tries over deeper views query previously assigned temporary
 // labels — query (i, y) at depth l asks "is the label of the depth-(l-1)
 // view behind port i different from y?".
+//
+// A trie is stored flat, as one preorder array (see Trie), and is built
+// either over views (SharedLabeler.BuildTrie, the reference form) or
+// over the class quotient of one depth (BuildDepth1 and Rows.Build, the
+// oracle's form, which reads no view at all).
 package trie
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bits"
-	"repro/internal/view"
 )
 
-// Trie is a node of a discrimination trie. Internal nodes have both
-// children and a query (A, B); leaves have neither.
-type Trie struct {
-	A, B        int
-	Left, Right *Trie
-	leaves      int
+// Trie is a discrimination trie stored as one preorder array of nodes.
+// An internal node carries its query (A, B) and the index of its right
+// child; its left child is the next node, and a leaf has right == 0. A
+// trie with L leaves has exactly 2L−1 nodes, so the left subtree of
+// internal node i has (right − i)/2 leaves and LocalLabel is an index
+// walk over contiguous memory. Preorder is also the order of the token
+// stream (Tokens, FromTokens), so the codec reads and writes the array
+// in one pass. The nil Trie is no trie: BuildTrie takes a nil E1 to
+// mean the depth-1 bootstrap.
+type Trie []node
+
+type node struct {
+	a, b  int32
+	right int32 // index of the right child; 0 for a leaf
 }
 
-// NewLeaf returns a single-leaf trie (the paper's "single node labeled (0)").
-func NewLeaf() *Trie { return &Trie{leaves: 1} }
-
-// NewInternal returns an internal trie node with the given query and children.
-func NewInternal(a, b int, left, right *Trie) *Trie {
-	if left == nil || right == nil {
-		panic("trie: internal node requires two children")
-	}
-	return &Trie{A: a, B: b, Left: left, Right: right, leaves: left.leaves + right.leaves}
-}
-
-// IsLeaf reports whether t is a leaf.
-func (t *Trie) IsLeaf() bool { return t.Left == nil }
+// IsLeaf reports whether t is a single leaf.
+func (t Trie) IsLeaf() bool { return len(t) == 1 }
 
 // Leaves returns the number of leaves of t.
-func (t *Trie) Leaves() int { return t.leaves }
+func (t Trie) Leaves() int { return (len(t) + 1) / 2 }
 
-// Size returns the number of nodes of t (2·Leaves−1 for the tries built here).
-func (t *Trie) Size() int {
-	if t.IsLeaf() {
-		return 1
+// Size returns the number of nodes of t (2·Leaves−1).
+func (t Trie) Size() int { return len(t) }
+
+// LocalLabel is Algorithm 2 of the paper on a trie over views of depth
+// two or more: x holds the temporary labels of the children of the
+// view's root, port by port, and query (i, y) goes left when x[i] != y.
+// It returns the 1-based rank of the leaf reached.
+func (t Trie) LocalLabel(x []int32) int {
+	sum, i := 1, 0
+	for t[i].right != 0 {
+		nd := t[i]
+		if nd.a < 0 || int(nd.a) >= len(x) {
+			panic(fmt.Sprintf("trie: query port %d out of range for %d children", nd.a, len(x)))
+		}
+		if x[nd.a] != nd.b {
+			i++
+		} else {
+			sum += (int(nd.right) - i) / 2
+			i = int(nd.right)
+		}
 	}
-	return 1 + t.Left.Size() + t.Right.Size()
+	return sum
+}
+
+// LocalLabel1 is Algorithm 2 of the paper on the depth-1 trie E1, for
+// the view whose encoding bin(B^1) is enc: query (0, t) goes left when
+// enc is shorter than t bits, and (1, j) when its j-th bit is 0.
+func (t Trie) LocalLabel1(enc bits.String) int {
+	sum, i := 1, 0
+	for t[i].right != 0 {
+		nd := t[i]
+		var left bool
+		switch nd.a {
+		case 0:
+			left = enc.Len() < int(nd.b)
+		case 1:
+			left = !enc.Bit1(int(nd.b))
+		default:
+			panic(fmt.Sprintf("trie: invalid depth-1 query kind %d", nd.a))
+		}
+		if left {
+			i++
+		} else {
+			sum += (int(nd.right) - i) / 2
+			i = int(nd.right)
+		}
+	}
+	return sum
 }
 
 // Couple is one entry (j, T_j) of a per-depth list L(i): the trie T_j
@@ -60,13 +105,13 @@ func (t *Trie) Size() int {
 // received temporary label j.
 type Couple struct {
 	J int
-	T *Trie
+	T Trie
 }
 
 // LevelList is one entry (i, L(i)) of the nested list E2. The unexported
-// index, when built (BuildIndex), turns the label-sum loop of
-// RetrieveLabel from a linear scan over {1..label} into two binary
-// searches; it is derived data only and never serialized.
+// index, when built (NewLevelList, BuildIndex), turns the label-sum loop
+// of RetrieveLabel from a linear scan over {1..label} into a binary
+// search; it is derived data only and never serialized.
 type LevelList struct {
 	Depth   int
 	Couples []Couple
@@ -78,47 +123,52 @@ type LevelList struct {
 // ascending), with prefix sums of (Leaves − 1). It is immutable after
 // construction, so sharing it across concurrently labeling nodes is safe.
 type levelIndex struct {
-	js  []int   // distinct Js, ascending
-	ts  []*Trie // trie of each J
-	cum []int   // cum[i] = Σ_{k<i} (ts[k].Leaves() − 1)
+	cs   []Couple // first couple of each J, ascending by J
+	cum  []int    // cum[i] = Σ_{k<i} (cs[k].T.Leaves() − 1)
+	pos1 int      // index of the first couple with J >= 1
 }
 
 func newLevelIndex(cs []Couple) *levelIndex {
-	// Keep the first couple of each J — findCouple returns the first
-	// match, so later duplicates are unreachable in the reference scan.
-	firstByJ := make(map[int]*Trie, len(cs))
-	ix := &levelIndex{}
-	for _, c := range cs {
-		if _, dup := firstByJ[c.J]; !dup {
-			firstByJ[c.J] = c.T
-			ix.js = append(ix.js, c.J)
+	// The oracle and well-formed advice list each J once, ascending, and
+	// then the couples index themselves. Otherwise keep the first couple
+	// of each J — findCouple returns the first match, so later
+	// duplicates are unreachable in the reference scan.
+	ascending := true
+	for i := 1; i < len(cs); i++ {
+		if cs[i-1].J >= cs[i].J {
+			ascending = false
+			break
 		}
 	}
-	sort.Ints(ix.js)
-	ix.ts = make([]*Trie, len(ix.js))
-	ix.cum = make([]int, len(ix.js)+1)
-	for i, j := range ix.js {
-		ix.ts[i] = firstByJ[j]
-		ix.cum[i+1] = ix.cum[i] + ix.ts[i].Leaves() - 1
+	if !ascending {
+		cs = slices.Clone(cs)
+		slices.SortStableFunc(cs, func(a, b Couple) int { return cmp.Compare(a.J, b.J) })
+		cs = slices.CompactFunc(cs, func(a, b Couple) bool { return a.J == b.J })
 	}
+	ix := &levelIndex{cs: cs, cum: make([]int, len(cs)+1)}
+	for i, c := range cs {
+		ix.cum[i+1] = ix.cum[i] + c.T.Leaves() - 1
+	}
+	// Couples with J < 1 never contribute: the reference scan starts at 1.
+	ix.pos1 = ix.search(1)
 	return ix
+}
+
+// search returns the index of the first couple with J >= j.
+func (ix *levelIndex) search(j int) int {
+	return sort.Search(len(ix.cs), func(i int) bool { return ix.cs[i].J >= j })
 }
 
 // sumBelow returns Σ over couples with 1 <= J < label of (Leaves − 1),
 // plus the trie at exactly label (nil if none) — everything the label-sum
 // of RetrieveLabel needs, in O(log #couples).
-func (ix *levelIndex) sumBelow(label int) (int, *Trie) {
-	lo := sort.SearchInts(ix.js, label)
-	sum := ix.cum[lo]
-	// Couples with J < 1 never contribute: the reference scan starts at 1.
-	if neg := sort.SearchInts(ix.js, 1); neg > 0 {
-		sum -= ix.cum[neg]
+func (ix *levelIndex) sumBelow(label int) (int, Trie) {
+	lo := ix.search(label)
+	sum := ix.cum[lo] - ix.cum[min(ix.pos1, lo)]
+	if lo < len(ix.cs) && ix.cs[lo].J == label {
+		return sum, ix.cs[lo].T
 	}
-	var at *Trie
-	if lo < len(ix.js) && ix.js[lo] == label {
-		at = ix.ts[lo]
-	}
-	return sum, at
+	return sum, nil
 }
 
 // NewLevelList returns the (depth, couples) entry with its label-sum
@@ -128,13 +178,48 @@ func NewLevelList(depth int, couples []Couple) LevelList {
 	return LevelList{Depth: depth, Couples: couples, idx: newLevelIndex(couples)}
 }
 
+// Label is the level step of RetrieveLabel (Algorithm 3): the temporary
+// label of a view at this level's depth whose truncation has label j
+// and whose children have labels x. A nil level has no couples. With
+// the index built, the label-sum over {1..j} is one binary search plus
+// one trie descent; the reference scan remains for hand-assembled
+// levels (and for out-of-range labels from corrupt advice, whose
+// observable behaviour it defines). The oracle's per-depth class sweep
+// and the view labeler both go through here.
+func (l *LevelList) Label(j int, x []int32) int {
+	if l != nil && l.idx != nil && j >= 1 {
+		below, at := l.idx.sumBelow(j)
+		sum := j - 1 + below
+		if at != nil {
+			return sum + at.LocalLabel(x)
+		}
+		return sum + 1
+	}
+	var cs []Couple
+	if l != nil {
+		cs = l.Couples
+	}
+	sum := 0
+	for i := 1; i <= j; i++ {
+		if t := findCouple(cs, i); t != nil {
+			if i < j {
+				sum += t.Leaves()
+			} else {
+				sum += t.LocalLabel(x)
+			}
+		} else {
+			sum++
+		}
+	}
+	return sum
+}
+
 // E2 is the nested list built by ComputeAdvice: one LevelList per depth
 // from 2 up to the election index. E2 for depth 1 is empty.
 type E2 []LevelList
 
 // BuildIndex precomputes the per-level label-sum index used by
-// RetrieveLabel. ComputeAdvice and the advice decoder call it once per
-// E2 before any labeling; hand-assembled E2 values work without it (the
+// RetrieveLabel. Hand-assembled E2 values work without it (the
 // reference scan is kept as the fallback).
 func (e E2) BuildIndex() {
 	for k := range e {
@@ -166,8 +251,9 @@ func (e E2) level(depth int) []Couple {
 	return nil
 }
 
-// find returns the trie of the couple with first term j, or nil.
-func findCouple(cs []Couple, j int) *Trie {
+// findCouple returns the trie of the first couple with first term j,
+// or nil.
+func findCouple(cs []Couple, j int) Trie {
 	for _, c := range cs {
 		if c.J == j {
 			return c.T
@@ -176,397 +262,148 @@ func findCouple(cs []Couple, j int) *Trie {
 	return nil
 }
 
-// Labeler evaluates LocalLabel and RetrieveLabel against a fixed view
-// table, caching depth-1 encodings and retrieved labels. The RetrieveLabel
-// memoization across growing E2 prefixes is sound because, per Claim 3.7
-// of the paper, the label of a depth-k view is identical under every
-// E2(i) with i >= k; callers must only query views whose depth is covered
-// by the E2 they pass (ComputeAdvice does).
-type Labeler struct {
-	Tab  *view.Table
-	enc1 map[*view.View]bits.String
-	memo map[*view.View]int
-}
-
-// NewLabeler returns a Labeler over the given table.
-func NewLabeler(tab *view.Table) *Labeler {
-	return &Labeler{
-		Tab:  tab,
-		enc1: make(map[*view.View]bits.String),
-		memo: make(map[*view.View]int),
-	}
-}
-
-// Encode1 returns the cached bin(B^1) encoding of a depth-1 view.
-func (lb *Labeler) Encode1(v *view.View) bits.String {
-	if s, ok := lb.enc1[v]; ok {
-		return s
-	}
-	s := view.EncodeDepth1(v)
-	lb.enc1[v] = s
-	return s
-}
-
-// evaluator is the recursion surface shared by Labeler and
-// SharedLabeler: the free functions localLabel and retrieveLabel call
-// back through it so that child labels and depth-1 encodings hit the
-// concrete type's memo (a plain map or a lock-striped one).
-type evaluator interface {
-	RetrieveLabel(b *view.View, e1 *Trie, e2 E2) int
-	Encode1(v *view.View) bits.String
-}
-
-// localLabel is Algorithm 2 of the paper (see Labeler.LocalLabel). The
-// descent is iterative and, for depth-1 queries, looks the view's
-// encoding up once for the whole branch — the recursive form re-fetched
-// it from the encoding cache at every internal node, which made the
-// cache lookup the hottest instruction of the oracle's label sweep.
-func localLabel(lb evaluator, b *view.View, x []int, t *Trie) int {
-	var enc bits.String
-	if len(x) == 0 && !t.IsLeaf() {
-		enc = lb.Encode1(b)
-	}
-	sum := 1
-	for !t.IsLeaf() {
-		left := false
-		if len(x) == 0 {
-			switch t.A {
-			case 0:
-				if enc.Len() < t.B {
-					left = true
-				}
-			case 1:
-				if !enc.Bit1(t.B) {
-					left = true
-				}
-			default:
-				panic(fmt.Sprintf("trie: invalid depth-1 query kind %d", t.A))
-			}
-		} else {
-			if t.A < 0 || t.A >= len(x) {
-				panic(fmt.Sprintf("trie: query port %d out of range for %d children", t.A, len(x)))
-			}
-			if x[t.A] != t.B {
-				left = true
-			}
-		}
-		if left {
-			t = t.Left
-		} else {
-			sum += t.Left.Leaves()
-			t = t.Right
-		}
-	}
-	return sum
-}
-
-// retrieveLabel is Algorithm 3 of the paper (see Labeler.RetrieveLabel),
-// minus the memo handled by the caller. When the level carries a
-// prebuilt index, the label-sum over {1..label} collapses to two binary
-// searches plus one trie descent; the reference scan remains for
-// hand-assembled E2 values (and for out-of-range labels from corrupt
-// advice, whose observable behaviour it defines).
-func retrieveLabel(lb evaluator, tab *view.Table, b *view.View, e1 *Trie, e2 E2) int {
-	if b.Depth == 1 {
-		return localLabel(lb, b, nil, e1)
-	}
-	if b.Depth < 1 {
-		panic("trie: RetrieveLabel of depth-0 view")
-	}
-	// Child labels; a stack buffer covers all but the highest-degree
-	// roots, so the label sweep over n nodes does not allocate n slices.
-	var xbuf [16]int
-	x := xbuf[:0]
-	if b.Deg > len(xbuf) {
-		x = make([]int, 0, b.Deg)
-	}
-	for _, e := range b.Edges {
-		x = append(x, lb.RetrieveLabel(e.Child, e1, e2))
-	}
-	label := lb.RetrieveLabel(tab.Truncate(b), e1, e2)
-	le := e2.levelEntry(b.Depth)
-	if le != nil && le.idx != nil && label >= 1 {
-		below, at := le.idx.sumBelow(label)
-		sum := label - 1 + below
-		if at != nil {
-			sum += localLabel(lb, b, x, at)
-		} else {
-			sum++
-		}
-		return sum
-	}
-	var cs []Couple
-	if le != nil {
-		cs = le.Couples
-	}
-	sum := 0
-	for i := 1; i <= label; i++ {
-		if t := findCouple(cs, i); t != nil {
-			if i < label {
-				sum += t.Leaves()
-			} else {
-				sum += localLabel(lb, b, x, t)
-			}
-		} else {
-			sum++
-		}
-	}
-	return sum
-}
-
-// LocalLabel is Algorithm 2 of the paper. B is an augmented truncated
-// view, x the list of temporary labels previously assigned to the
-// children of B's root (nil at depth 1), and t a trie discriminating the
-// candidate set containing B. It returns a 1-based leaf rank.
-func (lb *Labeler) LocalLabel(b *view.View, x []int, t *Trie) int {
-	return localLabel(lb, b, x, t)
-}
-
-// RetrieveLabel is Algorithm 3 of the paper: it assigns the temporary
-// integer label of the view b using the depth-1 trie e1 and the nested
-// list e2. Labels of distinct views at the same depth are distinct, and
-// lie in {1, ..., #views at that depth} (Claims 3.4 and 3.7).
-func (lb *Labeler) RetrieveLabel(b *view.View, e1 *Trie, e2 E2) int {
-	if v, ok := lb.memo[b]; ok {
-		return v
-	}
-	out := retrieveLabel(lb, lb.Tab, b, e1, e2)
-	lb.memo[b] = out
-	return out
-}
-
-// BuildTrie is Algorithm 4 of the paper. s is a non-empty set of distinct
-// augmented truncated views at the same positive depth; e1 is nil exactly
-// in the depth-1 bootstrap case (then queries inspect binary
-// representations); otherwise queries use the temporary labels induced by
-// e1 and e2. The returned trie has exactly len(s) leaves; s itself is
-// not modified. The resulting trie is a pure function of the *set* s —
-// every split is decided by canonically distinguished elements — which
-// is what lets the class-sharing oracle enumerate candidate sets in
-// class order rather than canonical order.
-func (lb *Labeler) BuildTrie(s []*view.View, e1 *Trie, e2 E2) *Trie {
-	return buildTrie(lb, lb.Tab, s, e1, e2)
-}
-
-// buildTrie is the implementation shared by Labeler and SharedLabeler.
-// It copies s once, then splits in place with a stable two-way
-// partition over one scratch buffer: the recursion allocates no
-// per-node maps or side slices (the old form allocated a membership map
-// per internal node, which made the oracle GC-bound at 100k nodes). In
-// the depth-1 bootstrap it also materializes each view's encoding once
-// into a slice carried through the recursion, instead of hitting the
-// encoding cache at every length/bit inspection.
-func buildTrie(lb evaluator, tab *view.Table, s []*view.View, e1 *Trie, e2 E2) *Trie {
-	if len(s) == 0 {
+// BuildDepth1 is the depth-1 bootstrap of Algorithm 4: the trie over
+// the distinct depth-1 views whose encodings bin(B^1) are encs,
+// discriminating on the representations themselves. The trie has
+// exactly len(encs) leaves and is a pure function of the set; encs is
+// not modified.
+func BuildDepth1(encs []bits.String) Trie {
+	if len(encs) == 0 {
 		panic("trie: BuildTrie of empty set")
 	}
-	if len(s) == 1 {
-		return NewLeaf()
-	}
-	if len(s) == 2 && e1 != nil {
-		// The common shape at the refinement's deepest levels: a couple
-		// of two views needs no set copies or scratch at all.
-		return buildTriePair(lb, tab, s[0], s[1], e1, e2)
-	}
-	set := make([]*view.View, len(s))
-	copy(set, s)
-	scratch := make([]*view.View, len(s))
-	if e1 == nil {
-		encs := make([]bits.String, len(s))
-		for i, v := range set {
-			encs[i] = lb.Encode1(v)
+	sorted := slices.Clone(encs)
+	slices.SortFunc(sorted, func(a, b bits.String) int {
+		if c := cmp.Compare(a.Len(), b.Len()); c != 0 {
+			return c
 		}
-		encScratch := make([]bits.String, len(s))
-		return buildTrie1(set, encs, scratch, encScratch)
-	}
-	// The views of s share a truncation, hence degree and remote ports:
-	// their canonical order is decided by their children alone. Fetch
-	// the children's canonical ranks once — ranking depth d-1 instead of
-	// depth d matters because the deepest levels of the refinement often
-	// split off only a handful of couples, and ranking their own depth
-	// would sort every view of the table's top depth to serve them. The
-	// two-smallest scan at every internal node of the recursion is then
-	// an integer scan.
-	deg := set[0].Deg
-	flat := make([]*view.View, 0, len(set)*deg)
-	for _, v := range set {
-		for i := range v.Edges {
-			flat = append(flat, v.Edges[i].Child)
-		}
-	}
-	rows := tab.Ranks(flat, make([]uint64, 0, len(flat)))
-	ri := make([]int32, len(set))
-	for i := range ri {
-		ri[i] = int32(i)
-	}
-	riScratch := make([]int32, len(set))
-	return buildTrieDeep(lb, tab, set, rows, deg, ri, scratch, riScratch, e1, e2)
+		return bits.Compare(a, b)
+	})
+	t := make(Trie, 2*len(encs)-1)
+	buildDepth1(t, 0, sorted)
+	return t
 }
 
-// buildTriePair is buildTrieDeep for a candidate set of exactly two
-// views: the split index is their first differing child, and the single
-// child comparison runs shallowly (degree, ports, then grandchild
-// ranks) so a two-view couple at the refinement's top depth never
-// triggers a rank pass over that whole depth.
-func buildTriePair(lb evaluator, tab *view.Table, u, v *view.View, e1 *Trie, e2 E2) *Trie {
-	idx := -1
-	for i := range u.Edges {
-		if u.Edges[i].Child != v.Edges[i].Child {
-			idx = i
-			break
-		}
+// buildDepth1 writes the trie over encs at t[pos:]. The split is the
+// paper's: if the encodings differ in length, (0, t) with t the longest
+// length; otherwise (1, j) with j the first bit where the set differs.
+// encs is sorted by length, then lexicographically, and so every split
+// is a cut of the slice that leaves both sides sorted: the shorter
+// encodings precede the longest ones, and among equal-length encodings
+// sharing their first j−1 bits, a 0 at bit j precedes a 1 — where j is
+// also the first bit at which the first and the last differ.
+func buildDepth1(t Trie, pos int, encs []bits.String) {
+	if len(encs) == 1 {
+		t[pos] = node{}
+		return
 	}
-	if idx < 0 {
-		panic("trie: BuildTrie called with duplicate views")
-	}
-	bdisc := u.Edges[idx].Child
-	if tab.CompareShallow(v.Edges[idx].Child, bdisc) < 0 {
-		bdisc = v.Edges[idx].Child
-	}
-	return NewInternal(idx, lb.RetrieveLabel(bdisc, e1, e2), NewLeaf(), NewLeaf())
-}
-
-// buildTrie1 is the depth-1 bootstrap of Algorithm 4: discriminate on
-// the binary representations themselves. encs[i] is the encoding of
-// s[i] and is permuted alongside it.
-func buildTrie1(s []*view.View, encs []bits.String, scratch []*view.View, encScratch []bits.String) *Trie {
-	if len(s) == 1 {
-		return NewLeaf()
-	}
-	maxLen := 0
-	for _, e := range encs {
-		if e.Len() > maxLen {
-			maxLen = e.Len()
-		}
-	}
-	allMax := true
-	for _, e := range encs {
-		if e.Len() < maxLen {
-			allMax = false
-			break
-		}
-	}
+	first, last := encs[0], encs[len(encs)-1]
 	var a, bq, k int
-	if !allMax {
+	if maxLen := last.Len(); first.Len() < maxLen {
 		a, bq = 0, maxLen
-		k = partition1(s, encs, scratch, encScratch, func(i int) bool {
-			return encs[i].Len() < maxLen
-		})
+		k = sort.Search(len(encs), func(i int) bool { return encs[i].Len() == maxLen })
 	} else {
-		// All encodings have equal length: split on the smallest bit
-		// position where some view disagrees with the first — the
-		// byte-level scan form of "the first j where the set differs".
-		j := -1
-		for _, e := range encs[1:] {
-			if d := bits.FirstDiff(encs[0], e); d >= 0 && (j < 0 || d+1 < j) {
-				j = d + 1
-			}
-		}
-		if j < 0 {
+		d := bits.FirstDiff(first, last)
+		if d < 0 {
 			panic("trie: BuildTrie called with duplicate depth-1 views")
 		}
-		a, bq = 1, j
-		k = partition1(s, encs, scratch, encScratch, func(i int) bool {
-			return !encs[i].Bit1(j)
-		})
+		a, bq = 1, d+1
+		k = sort.Search(len(encs), func(i int) bool { return encs[i].Bit(d) })
 	}
-	if k == 0 || k == len(s) {
-		panic("trie: BuildTrie split produced an empty side")
-	}
-	return NewInternal(a, bq,
-		buildTrie1(s[:k], encs[:k], scratch, encScratch),
-		buildTrie1(s[k:], encs[k:], scratch, encScratch))
+	t[pos] = node{a: int32(a), b: int32(bq), right: int32(pos + 2*k)}
+	buildDepth1(t, pos+1, encs[:k])
+	buildDepth1(t, pos+2*k, encs[k:])
 }
 
-// buildTrieDeep is the deeper-level case of Algorithm 4: all views of s
-// share the same truncation; split on the discriminatory index of the
-// two canonically smallest views. Because the truncation fixes degree
-// and remote ports, "canonically smallest" is decided by the children:
-// rows holds the packed canonical ranks of every view's children (one
-// generation for the whole set), row ri[i] — deg consecutive entries —
-// belonging to s[i]; ri is permuted alongside s.
-func buildTrieDeep(lb evaluator, tab *view.Table, s []*view.View, rows []uint64, deg int, ri []int32, scratch []*view.View, riScratch []int32, e1 *Trie, e2 E2) *Trie {
-	if len(s) == 1 {
-		return NewLeaf()
-	}
-	row := func(i int) []uint64 {
-		o := int(ri[i]) * deg
-		return rows[o : o+deg]
-	}
-	rowLess := func(a, b []uint64) bool {
-		for j := 0; j < deg; j++ {
-			if a[j] != b[j] {
-				return a[j] < b[j]
-			}
-		}
-		return false
-	}
-	// Two smallest by child-rank rows: one lexicographic scan.
-	i1, i2 := 0, 1
-	if rowLess(row(1), row(0)) {
-		i1, i2 = 1, 0
-	}
-	for i := 2; i < len(s); i++ {
-		switch {
-		case rowLess(row(i), row(i1)):
-			i1, i2 = i, i1
-		case rowLess(row(i), row(i2)):
-			i2 = i
+// partition stably reorders s so the elements with left true come
+// first, preserving relative order on both sides, and returns how many
+// satisfy left. scratch must be at least as long as s.
+func partition[T any](s, scratch []T, left func(T) bool) int {
+	k, r := 0, 0
+	for _, v := range s {
+		if left(v) {
+			s[k] = v
+			k++
+		} else {
+			scratch[r] = v
+			r++
 		}
 	}
-	u, v := s[i1], s[i2]
+	copy(s[k:], scratch[:r])
+	return k
+}
+
+// Rows is one depth d >= 2 of the class quotient, as Build reads it:
+// row c lists, port by port, the depth-(d−1) class of the child behind
+// that port of depth-d class c; Rank and Label give the canonical rank
+// and the temporary label of every depth-(d−1) class. By the quotient
+// argument a depth-d class is one depth-d view and a depth-(d−1) class
+// is one child view, so equal child class means equal child view.
+type Rows struct {
+	Off   []int32 // the row of class c is Child[Off[c]:Off[c+1]]
+	Child []int32
+	Rank  []int32
+	Label []int32
+}
+
+// Build is the deeper-level case of Algorithm 4 over depth-d classes: it
+// writes into dst, which must hold exactly 2·len(members)−1 nodes, the
+// trie discriminating the views of the classes in members. The members
+// must share their depth-(d−1) class — the views' common truncation —
+// so they agree on degree and remote ports, and canonical order among
+// them is decided by their children's ranks. Every split is that of
+// the view form: the first port where the two canonically smallest
+// members' children differ, asked against the label of the smaller of
+// those two children. members is reordered and scratch (at least as
+// long) overwritten; Build allocates nothing, so a level's tries can
+// share one arena.
+func (r *Rows) Build(dst Trie, members, scratch []int32) {
+	if len(members) == 0 {
+		panic("trie: BuildTrie of empty set")
+	}
+	if len(dst) != 2*len(members)-1 {
+		panic(fmt.Sprintf("trie: %d nodes for a trie over %d classes", len(dst), len(members)))
+	}
+	// Sort once into canonical order; the stable splits keep both sides
+	// sorted, so the two smallest members of every subtree are its
+	// first two.
+	slices.SortFunc(members, func(a, b int32) int { return r.compare(r.row(a), r.row(b)) })
+	r.build(dst, 0, members, scratch)
+}
+
+func (r *Rows) row(c int32) []int32 { return r.Child[r.Off[c]:r.Off[c+1]] }
+
+// compare orders two rows of one group by the canonical ranks of their
+// children.
+func (r *Rows) compare(a, b []int32) int {
+	for j := range a {
+		if c := cmp.Compare(r.Rank[a[j]], r.Rank[b[j]]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+func (r *Rows) build(t Trie, pos int, m, scratch []int32) {
+	if len(m) == 1 {
+		t[pos] = node{}
+		return
+	}
+	u, v := r.row(m[0]), r.row(m[1])
 	idx := -1
-	for i := range u.Edges {
-		if u.Edges[i].Child != v.Edges[i].Child {
-			idx = i
+	for j := range u {
+		if u[j] != v[j] {
+			idx = j
 			break
 		}
 	}
 	if idx < 0 {
 		panic("trie: BuildTrie called with duplicate views")
 	}
-	bdisc := u.Edges[idx].Child
-	if row(i2)[idx] < row(i1)[idx] {
-		bdisc = v.Edges[idx].Child
-	}
-	a, bq := idx, lb.RetrieveLabel(bdisc, e1, e2)
-	k, r := 0, 0
-	for i, w := range s {
-		if w.Edges[idx].Child != bdisc {
-			s[k], ri[k] = w, ri[i]
-			k++
-		} else {
-			scratch[r], riScratch[r] = w, ri[i]
-			r++
-		}
-	}
-	copy(s[k:], scratch[:r])
-	copy(ri[k:], riScratch[:r])
-	if k == 0 || r == 0 {
-		panic("trie: BuildTrie split produced an empty side")
-	}
-	return NewInternal(a, bq,
-		buildTrieDeep(lb, tab, s[:k], rows, deg, ri[:k], scratch, riScratch, e1, e2),
-		buildTrieDeep(lb, tab, s[k:], rows, deg, ri[k:], scratch, riScratch, e1, e2))
-}
-
-// partition1 stably reorders s (and the parallel encs) so the elements
-// with pred true come first, preserving relative order on both sides,
-// and returns how many satisfy pred. pred is indexed against the
-// pre-partition positions, so it must read encs before position i is
-// overwritten — the compaction writes at k <= i, which guarantees that.
-func partition1(s []*view.View, encs []bits.String, scratch []*view.View, encScratch []bits.String, pred func(i int) bool) int {
-	k, r := 0, 0
-	for i, v := range s {
-		if pred(i) {
-			s[k], encs[k] = v, encs[i]
-			k++
-		} else {
-			scratch[r], encScratch[r] = v, encs[i]
-			r++
-		}
-	}
-	copy(s[k:], scratch[:r])
-	copy(encs[k:], encScratch[:r])
-	return k
+	// u precedes v and their children agree before idx, so u's child
+	// at idx is the smaller one.
+	disc := u[idx]
+	k := partition(m, scratch, func(c int32) bool { return r.Child[r.Off[c]+int32(idx)] != disc })
+	t[pos] = node{a: int32(idx), b: r.Label[disc], right: int32(pos + 2*k)}
+	r.build(t, pos+1, m[:k], scratch)
+	r.build(t, pos+2*k, m[k:], scratch)
 }

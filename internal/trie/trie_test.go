@@ -1,11 +1,36 @@
 package trie
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/view"
 )
+
+// NewLeaf returns a single-leaf trie (the paper's "single node labeled
+// (0)"); with NewInternal it assembles tries by hand for tests.
+func NewLeaf() Trie { return Trie{{}} }
+
+// NewInternal returns the trie with root query (a, b) over the given
+// subtrees, in preorder.
+func NewInternal(a, b int, left, right Trie) Trie {
+	if len(left) == 0 || len(right) == 0 {
+		panic("trie: internal node requires two children")
+	}
+	t := make(Trie, 0, 1+len(left)+len(right))
+	t = append(t, node{a: int32(a), b: int32(b), right: int32(1 + len(left))})
+	for i, sub := range []Trie{left, right} {
+		shift := int32(1 + i*len(left))
+		for _, nd := range sub {
+			if nd.right != 0 {
+				nd.right += shift
+			}
+			t = append(t, nd)
+		}
+	}
+	return t
+}
 
 func depth1Views(t *testing.T, g *graph.Graph) (*view.Table, []*view.View, []*view.View) {
 	t.Helper()
@@ -39,6 +64,24 @@ func TestTrieConstructors(t *testing.T) {
 	NewInternal(0, 0, nil, NewLeaf())
 }
 
+// The flat layout: preorder, the left child next, the right child at
+// the stored index, and (right − i)/2 leaves left of node i.
+func TestTrieLayout(t *testing.T) {
+	tr := NewInternal(0, 1, NewInternal(2, 3, NewLeaf(), NewLeaf()), NewInternal(4, 5, NewLeaf(), NewLeaf()))
+	want := Trie{{0, 1, 4}, {2, 3, 3}, {}, {}, {4, 5, 6}, {}, {}}
+	if !slices.Equal(tr, want) {
+		t.Fatalf("layout %v, want %v", tr, want)
+	}
+	// x[0] == 1 goes right past two leaves, then x[4] != 5 goes left.
+	if got := tr.LocalLabel([]int32{1, 0, 0, 0, 0}); got != 3 {
+		t.Errorf("LocalLabel = %d, want 3", got)
+	}
+	// x[0] != 1 goes left, then x[2] == 3 goes right past one leaf.
+	if got := tr.LocalLabel([]int32{0, 0, 3, 0, 0}); got != 2 {
+		t.Errorf("LocalLabel = %d, want 2", got)
+	}
+}
+
 // Claim 3.1: BuildTrie over depth-1 views returns a trie of size 2|S|-1
 // with exactly |S| leaves.
 func TestBuildTrieDepth1Shape(t *testing.T) {
@@ -47,7 +90,7 @@ func TestBuildTrieDepth1Shape(t *testing.T) {
 		graph.RandomConnected(14, 7, 5),
 	} {
 		_, _, distinct := depth1Views(t, g)
-		lb := NewLabeler(view.NewTable())
+		lb := NewSharedLabeler(view.NewTable())
 		tr := lb.BuildTrie(distinct, nil, nil)
 		if tr.Leaves() != len(distinct) {
 			t.Errorf("leaves = %d, want %d", tr.Leaves(), len(distinct))
@@ -64,7 +107,7 @@ func TestLocalLabelDepth1Uniqueness(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.RandomConnected(12, 6, seed)
 		tab, _, distinct := depth1Views(t, g)
-		lb := NewLabeler(tab)
+		lb := NewSharedLabeler(tab)
 		tr := lb.BuildTrie(distinct, nil, nil)
 		got := map[int]*view.View{}
 		for _, v := range distinct {
@@ -83,7 +126,7 @@ func TestLocalLabelDepth1Uniqueness(t *testing.T) {
 func TestBuildTrieSingleton(t *testing.T) {
 	g := graph.Path(3)
 	tab, _, distinct := depth1Views(t, g)
-	lb := NewLabeler(tab)
+	lb := NewSharedLabeler(tab)
 	tr := lb.BuildTrie(distinct[:1], nil, nil)
 	if !tr.IsLeaf() {
 		t.Error("singleton set should yield a leaf")
@@ -96,7 +139,7 @@ func TestBuildTrieSingleton(t *testing.T) {
 func TestBuildTriePanicsOnDuplicates(t *testing.T) {
 	g := graph.Path(4)
 	tab, _, distinct := depth1Views(t, g)
-	lb := NewLabeler(tab)
+	lb := NewSharedLabeler(tab)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -106,7 +149,7 @@ func TestBuildTriePanicsOnDuplicates(t *testing.T) {
 }
 
 func TestBuildTriePanicsOnEmpty(t *testing.T) {
-	lb := NewLabeler(view.NewTable())
+	lb := NewSharedLabeler(view.NewTable())
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -118,7 +161,7 @@ func TestBuildTriePanicsOnEmpty(t *testing.T) {
 func TestRetrieveLabelDepth1EqualsLocalLabel(t *testing.T) {
 	g := graph.Lollipop(5, 2)
 	tab, all, distinct := depth1Views(t, g)
-	lb := NewLabeler(tab)
+	lb := NewSharedLabeler(tab)
 	tr := lb.BuildTrie(distinct, nil, nil)
 	for _, v := range all {
 		if lb.RetrieveLabel(v, tr, nil) != lb.LocalLabel(v, nil, tr) {
@@ -129,7 +172,7 @@ func TestRetrieveLabelDepth1EqualsLocalLabel(t *testing.T) {
 
 func TestRetrieveLabelPanicsAtDepth0(t *testing.T) {
 	tab := view.NewTable()
-	lb := NewLabeler(tab)
+	lb := NewSharedLabeler(tab)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -141,7 +184,7 @@ func TestRetrieveLabelPanicsAtDepth0(t *testing.T) {
 func TestTrieTokensRoundTrip(t *testing.T) {
 	g := graph.RandomConnected(16, 8, 21)
 	tab, _, distinct := depth1Views(t, g)
-	lb := NewLabeler(tab)
+	lb := NewSharedLabeler(tab)
 	tr := lb.BuildTrie(distinct, nil, nil)
 	tokens := tr.Tokens()
 	got, used, err := FromTokens(tokens)
@@ -151,19 +194,9 @@ func TestTrieTokensRoundTrip(t *testing.T) {
 	if used != len(tokens) {
 		t.Fatalf("used %d of %d tokens", used, len(tokens))
 	}
-	if !sameTrie(tr, got) {
+	if !slices.Equal(tr, got) {
 		t.Error("round trip changed the trie")
 	}
-}
-
-func sameTrie(a, b *Trie) bool {
-	if a.IsLeaf() != b.IsLeaf() {
-		return false
-	}
-	if a.IsLeaf() {
-		return true
-	}
-	return a.A == b.A && a.B == b.B && sameTrie(a.Left, b.Left) && sameTrie(a.Right, b.Right)
 }
 
 func TestFromTokensErrors(t *testing.T) {
@@ -173,6 +206,11 @@ func TestFromTokensErrors(t *testing.T) {
 		{1, 0, 0},    // missing children
 		{2},          // invalid tag
 		{1, 0, 0, 0}, // one child only
+		// Query values that do not fit the int32 node.
+		{1, 1 << 31, 0, 0, 0},
+		{1, 0, 1 << 40, 0, 0},
+		{1, 0, -1<<31 - 1, 0, 0},
+		{1, 0, 0, 1, 1 << 31, 7, 0, 0, 0}, // in the right subtree
 	}
 	for _, c := range cases {
 		if _, _, err := FromTokens(c); err == nil {
@@ -194,7 +232,7 @@ func TestE2TokensRoundTrip(t *testing.T) {
 	if len(got) != 3 || got[0].Depth != 2 || len(got[2].Couples) != 2 {
 		t.Fatalf("round trip structure wrong: %+v", got)
 	}
-	if got[0].Couples[0].J != 3 || !sameTrie(got[0].Couples[0].T, e2[0].Couples[0].T) {
+	if got[0].Couples[0].J != 3 || !slices.Equal(got[0].Couples[0].T, e2[0].Couples[0].T) {
 		t.Error("couple content wrong")
 	}
 }

@@ -45,3 +45,15 @@ func TestInternAllocs(t *testing.T) {
 		t.Fatalf("interning costs %.3f allocations per view, want < 0.1", perView)
 	}
 }
+
+// TestEncodeDepth1Allocs pins a depth-1 encoding to one allocation: the
+// exact bit length is computed before the buffer is allocated.
+func TestEncodeDepth1Allocs(t *testing.T) {
+	tb := NewTable()
+	g := graph.RandomConnected(50, 200, 3)
+	for _, v := range Levels(tb, g, 1)[1][:10] {
+		if got := testing.AllocsPerRun(100, func() { _ = EncodeDepth1(v) }); got != 1 {
+			t.Fatalf("EncodeDepth1 of a degree-%d view allocates %v times, want 1", v.Deg, got)
+		}
+	}
+}

@@ -104,49 +104,6 @@ func (t *Table) Ranks(vs []*View, dst []uint64) []uint64 {
 	}
 }
 
-// CompareShallow orders views exactly like Compare but without
-// materializing ranks at the views' own depth: equal-depth views
-// compare by degree, then remote ports, then children under Compare —
-// the canonical order's definition, evaluated one level. Ranks are only
-// touched (at depth-1, lazily) if the comparison reaches the children.
-// It exists for isolated comparisons at the refinement's top depth,
-// where a rank pass would sort every view of that depth to decide one
-// pair; wherever many views of a depth are compared, Compare's
-// amortized ranks win.
-func (t *Table) CompareShallow(a, b *View) int {
-	if a == b {
-		return 0
-	}
-	if a.Depth != b.Depth {
-		if a.Depth < b.Depth {
-			return -1
-		}
-		return 1
-	}
-	if a.Deg != b.Deg {
-		if a.Deg < b.Deg {
-			return -1
-		}
-		return 1
-	}
-	for i := range a.Edges {
-		if pa, pb := a.Edges[i].RemotePort, b.Edges[i].RemotePort; pa != pb {
-			if pa < pb {
-				return -1
-			}
-			return 1
-		}
-	}
-	for i := range a.Edges {
-		if c := t.Compare(a.Edges[i].Child, b.Edges[i].Child); c != 0 {
-			return c
-		}
-	}
-	// Unreachable for interned views: equal (depth, deg, ports,
-	// children) means the same interned view.
-	panic("view: CompareShallow of structurally equal distinct views")
-}
-
 // Min returns the minimum view of a non-empty slice under Compare.
 func (t *Table) Min(vs []*View) *View {
 	if len(vs) == 0 {

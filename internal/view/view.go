@@ -354,31 +354,45 @@ func (t *Table) TruncateTo(v *View, depth int) *View {
 // the encoding is Concat(Concat(bin(0), bin(a_0), bin(b_0)), ...). The
 // depth-1 trie queries of BuildTrie inspect lengths and individual bits
 // of this encoding, so it is materialized exactly.
-//
-// The nested Concat is written out directly — bin digits quadrupled
-// (doubled by the inner Concat, doubled again by the outer), inner
-// separators 01 doubled to 0011, outer separators plain 01 — instead of
-// materializing one intermediate bits.String per port. The oracle
-// encodes every distinct depth-1 view of the graph, so the intermediate
-// strings used to dominate its allocation profile;
-// TestEncodeDepth1MatchesNestedConcat pins the output to the
-// Concat/ConcatInts composition bit for bit.
 func EncodeDepth1(v *View) bits.String {
 	if v.Depth != 1 {
 		panic(fmt.Sprintf("view: EncodeDepth1 of depth-%d view", v.Depth))
 	}
-	var w bits.Writer
-	for j, e := range v.Edges {
+	return EncodeDepth1Ports(v.Deg, func(j int) (int, int) {
+		return v.Edges[j].RemotePort, v.Edges[j].Child.Deg
+	})
+}
+
+// EncodeDepth1Ports is EncodeDepth1 of the depth-1 view whose root has
+// deg ports, port(j) giving the remote port behind port j and the
+// degree of the neighbor there. The oracle reads these off the graph,
+// without a view; EncodeDepth1 reads them off the view.
+//
+// The nested Concat is written out directly — bin digits quadrupled
+// (doubled by the inner Concat, doubled again by the outer), inner
+// separators 01 doubled to 0011, outer separators plain 01 — into one
+// buffer sized to the exact bit length before anything is written, so
+// an encoding is one allocation. TestEncodeDepth1MatchesNestedConcat
+// pins the output to the Concat/ConcatInts composition bit for bit.
+func EncodeDepth1Ports(deg int, port func(j int) (remotePort, nbrDeg int)) bits.String {
+	n := 2 * max(deg-1, 0) // outer separators
+	for j := 0; j < deg; j++ {
+		a, b := port(j)
+		n += 4*(bits.BinLen(j)+bits.BinLen(a)+bits.BinLen(b)) + 8
+	}
+	w := bits.NewWriter(n)
+	for j := 0; j < deg; j++ {
+		a, b := port(j)
 		if j > 0 {
 			w.WriteBits(0b01, 2) // outer separator, not doubled
 		}
 		w.WriteBinRepeated(j, 4) // bin digits doubled twice
 		w.WriteBits(0b0011, 4)   // inner separator 01, doubled once
-		w.WriteBinRepeated(e.RemotePort, 4)
+		w.WriteBinRepeated(a, 4)
 		w.WriteBits(0b0011, 4)
-		w.WriteBinRepeated(e.Child.Deg, 4)
+		w.WriteBinRepeated(b, 4)
 	}
-	return w.String()
+	return w.Take()
 }
 
 // distinctCount returns the number of distinct views in vs.

@@ -451,7 +451,8 @@ func TestLevelSetsAreDistanceBalls(t *testing.T) {
 // EncodeDepth1's direct writer must reproduce the nested
 // Concat(ConcatInts(j, a_j, b_j)...) composition bit for bit on every
 // depth-1 view of a varied set of graphs — the spec it replaced with
-// quadrupled-digit writes.
+// quadrupled-digit writes — from both of its callers: the labeler's,
+// which reads the view, and the oracle's, which reads the graph.
 func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Path(5),
@@ -462,7 +463,7 @@ func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 		graph.RandomConnected(30, 40, 11),
 	} {
 		tb := NewTable()
-		for _, v := range Levels(tb, g, 1)[1] {
+		for w, v := range Levels(tb, g, 1)[1] {
 			parts := make([]bits.String, v.Deg)
 			for j, e := range v.Edges {
 				parts[j] = bits.ConcatInts(j, e.RemotePort, e.Child.Deg)
@@ -470,6 +471,13 @@ func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 			want := bits.Concat(parts...)
 			if !bits.Equal(EncodeDepth1(v), want) {
 				t.Fatalf("EncodeDepth1 diverges from nested Concat on %v", v)
+			}
+			fromGraph := EncodeDepth1Ports(g.Deg(w), func(j int) (int, int) {
+				h := g.At(w, j)
+				return h.RemotePort, g.Deg(h.To)
+			})
+			if !bits.Equal(fromGraph, want) {
+				t.Fatalf("EncodeDepth1Ports diverges from nested Concat at node %d", w)
 			}
 		}
 	}
