@@ -4,7 +4,7 @@ package election
 // (E1-E26). Each bench reports, beyond ns/op, the paper-relevant custom
 // metrics (advice bits, rounds, ratios) via b.ReportMetric, so
 // `go test -bench=. -benchmem` regenerates the quantitative skeleton of
-// EXPERIMENTS.md.
+// that index.
 
 import (
 	"fmt"
@@ -252,9 +252,9 @@ func BenchmarkSimulator(b *testing.B) {
 		name string
 		o    Options
 	}{
-		{"sequential", Options{}},
-		{"goroutines", Options{Concurrent: true}},
-		{"wire", Options{Concurrent: true, Wire: true}},
+		{"bsp", Options{}},
+		{"goroutines", Options{Realization: Goroutines{}}},
+		{"wire", Options{Realization: Goroutines{Wire: true}}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -309,7 +309,7 @@ func BenchmarkAsyncEngine(b *testing.B) {
 	g := RandomConnected(30, 15, 9)
 	for i := 0; i < b.N; i++ {
 		s := NewSystem()
-		if _, err := s.RunMinTime(g, Options{Async: true, AsyncSeed: int64(i)}); err != nil {
+		if _, err := s.RunMinTime(g, Options{Realization: Async{Seed: int64(i)}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -380,8 +380,7 @@ func BenchmarkElectionIndexViewEngine(b *testing.B) {
 		g := RandomConnected(n, n/2, int64(n))
 		b.Run(fmt.Sprintf("random-n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := NewSystemWith(EngineView)
-				s.ElectionIndex(g)
+				view.ElectionIndex(view.NewTable(), g)
 			}
 		})
 	}
@@ -479,7 +478,7 @@ func BenchmarkElectionEndToEndSequential(b *testing.B) {
 	b.Run("random-n10000", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := NewSystem()
-			if _, err := s.RunMinTime(g, Options{Engine: SimSequential}); err != nil {
+			if _, err := s.RunMinTime(g, Options{Realization: sequential{}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -575,7 +574,7 @@ func BenchmarkAsyncScale(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var err error
-					res, err = s.RunMinTime(g, Options{Async: true, AsyncSeed: 1, Delay: model})
+					res, err = s.RunMinTime(g, Options{Realization: Async{Seed: 1, Delay: model}})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -655,10 +654,11 @@ func BenchmarkShardedBSP(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					o := Options{}
 					if tc.name != "bsp" {
-						o.Shards = shards
-					}
-					if tc.faults != nil {
-						o.ShardFaults = tc.faults() // fresh budgets per run
+						sh := Sharded{Shards: shards}
+						if tc.faults != nil {
+							sh.Faults = tc.faults() // fresh budgets per run
+						}
+						o.Realization = sh
 					}
 					var err error
 					res, err = s.RunElect(g, enc, o)

@@ -7,7 +7,7 @@
 //	electsim -graph lollipop -n 20 -algo mintime
 //	electsim -graph random -n 50 -seed 7 -algo milestone2 -concurrent
 //	electsim -graph necklace -n 4 -algo generic -x 5
-//	electsim -graph random -n 100000 -algo index -engine part
+//	electsim -graph random -n 100000 -algo index
 //
 // Graphs: lollipop, random, grid, sqgrid, k-bipartite, hk, necklace,
 // s0, hairy, torus, hypercube (torus and hypercube are -n-parameterized
@@ -24,17 +24,18 @@
 // dplusphi (remark after Theorem 4.1), index (no election run: just φ,
 // feasibility and the stable partition — the large-graph path).
 //
-// -engine selects the computation engine:
+// The election's rounds run on one realization, chosen by at most one
+// of -concurrent, -async and -shards; with none of them, the
+// class-sharing bulk-synchronous engine runs (-workers sizes its
+// decide-sweep pool). A flag that the chosen realization does not read
+// (-wire without -concurrent, -delay without -async, -chaos or -listen
+// without -shards, -workers off BSP) is an error, not silently ignored.
 //
-//	bsp   class-sharing bulk-synchronous simulation (the default; use
-//	      -workers to size its decide-sweep pool), partition via part
-//	seq   sequential reference simulation, partition via part
-//	part  same as bsp (the historical name for the partition engine)
-//	view  legacy interned-view refinement for φ/partition, sequential
-//	      simulation — for cross-checking and profiling
+// -concurrent runs one goroutine per node; -wire additionally
+// serializes every message to bits and reports the wire volume.
 //
-// -async runs the election on the class-sharing asynchronous engine
-// instead: an event-driven network bridged by the time-stamp
+// -async runs the election on the class-sharing asynchronous engine:
+// an event-driven network bridged by the time-stamp
 // synchronizer, whose per-message delays are chosen by the -delay
 // adversary (seeded by -seed):
 //
@@ -63,11 +64,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	election "repro"
@@ -81,8 +84,7 @@ func main() {
 		n          = flag.Int("n", 16, "size parameter of the graph family")
 		seed       = flag.Int64("seed", 1, "seed for random graphs and port shuffles")
 		algo       = flag.String("algo", "mintime", "mintime, generic, milestone1..4, fullmap, dplusphi, index")
-		engine     = flag.String("engine", "bsp", "engine: bsp (class-sharing sim), seq (sequential sim), part (alias of bsp), view (legacy)")
-		workers    = flag.Int("workers", 0, "BSP decide-sweep workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "BSP decide-sweep workers (0 = GOMAXPROCS); BSP only")
 		x          = flag.Int("x", 0, "parameter x for -algo generic (default: the election index)")
 		concurrent = flag.Bool("concurrent", false, "use the goroutine-per-node engine")
 		wire       = flag.Bool("wire", false, "serialize messages to bits (with -concurrent)")
@@ -137,7 +139,9 @@ func main() {
 				fmt.Printf("peak heap: %.1f MB\n", float64(peak)/(1<<20))
 			}()
 		}
-		return run(*graphKind, *load, *save, *algo, *engine, *delay, *listen, *peersList, *sharddBin, *network, *n, *x, *workers, *shards, *seed, *chaos, *concurrent, *wire, *async, *timeout)
+		ef := engineFlags{workers: *workers, concurrent: *concurrent, wire: *wire, async: *async,
+			delay: *delay, shards: *shards, seed: *seed, chaos: *chaos, listen: *listen}
+		return run(*graphKind, *load, *save, *algo, *peersList, *sharddBin, *network, *n, *x, *seed, ef, *timeout)
 	}()
 	os.Exit(code)
 }
@@ -182,7 +186,65 @@ func (s *heapSampler) stop() uint64 {
 	return <-s.out
 }
 
-func run(graphKind, load, save, algo, engine, delay, listen, peersList, sharddBin, network string, n, x, workers, shards int, seed, chaos int64, concurrent, wire, async bool, timeout time.Duration) int {
+// engineFlags are the flags that choose how the election's rounds run.
+type engineFlags struct {
+	workers                 int
+	concurrent, wire, async bool
+	delay                   string
+	shards                  int
+	seed, chaos             int64
+	listen                  string
+}
+
+// realizationOf maps the engine flags to the one election.Realization
+// they name. It rejects flags that name two realizations and flags the
+// chosen realization would not read. The delay models are built for g.
+func realizationOf(g *election.Graph, f engineFlags) (election.Realization, error) {
+	if f.shards != 0 && f.shards < 2 {
+		return nil, fmt.Errorf("-shards %d: a sharded run needs at least 2 shards", f.shards)
+	}
+	var named []string
+	if f.concurrent {
+		named = append(named, "-concurrent")
+	}
+	if f.async {
+		named = append(named, "-async")
+	}
+	if f.shards != 0 {
+		named = append(named, "-shards")
+	}
+	switch {
+	case len(named) > 1:
+		return nil, fmt.Errorf("%s name different realizations; pick one", strings.Join(named, ", "))
+	case f.wire && !f.concurrent:
+		return nil, errors.New("-wire needs -concurrent")
+	case f.delay != "uniform" && !f.async:
+		return nil, errors.New("-delay needs -async")
+	case (f.chaos != 0 || f.listen != "") && f.shards == 0:
+		return nil, errors.New("-chaos and -listen need -shards of at least 2")
+	case f.workers != 0 && len(named) > 0:
+		return nil, fmt.Errorf("-workers sizes the BSP sweep; %s does not read it", named[0])
+	}
+	switch {
+	case f.concurrent:
+		return election.Goroutines{Wire: f.wire}, nil
+	case f.async:
+		model, ok := election.DelayModels(g)[f.delay]
+		if !ok {
+			return nil, fmt.Errorf("unknown delay model %q (want uniform, exp, pareto, fixed, fifo or slowcut)", f.delay)
+		}
+		return election.Async{Seed: f.seed, Delay: model}, nil
+	case f.shards != 0:
+		sh := election.Sharded{Shards: f.shards, Seed: f.seed}
+		if f.chaos != 0 {
+			sh.Faults = election.SeededShardChaos(f.chaos, f.shards)
+		}
+		return sh, nil
+	}
+	return election.BSP{Workers: f.workers}, nil
+}
+
+func run(graphKind, load, save, algo, peersList, sharddBin, network string, n, x int, seed int64, ef engineFlags, timeout time.Duration) int {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -211,21 +273,12 @@ func run(graphKind, load, save, algo, engine, delay, listen, peersList, sharddBi
 	if load != "" {
 		label = "file:" + load
 	}
-	var s *election.System
-	simEngine := election.SimBSP
-	switch engine {
-	case "bsp", "part":
-		s = election.NewSystem()
-	case "seq":
-		s = election.NewSystem()
-		simEngine = election.SimSequential
-	case "view":
-		s = election.NewSystemWith(election.EngineView)
-		simEngine = election.SimSequential
-	default:
-		fmt.Fprintf(os.Stderr, "electsim: unknown engine %q (want bsp, seq, part or view)\n", engine)
+	realization, err := realizationOf(g, ef)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "electsim:", err)
 		return 1
 	}
+	s := election.NewSystem()
 	start := time.Now()
 	phi, feasible, err := s.ElectionIndexCtx(ctx, g)
 	if err != nil {
@@ -240,7 +293,7 @@ func run(graphKind, load, save, algo, engine, delay, listen, peersList, sharddBi
 	if feasible {
 		fmt.Printf(" electionIndex=%d", phi)
 	}
-	fmt.Printf(" engine=%s (%v)\n", engine, indexElapsed)
+	fmt.Printf(" (%v)\n", indexElapsed)
 	if algo == "index" {
 		start = time.Now()
 		classes, depth, err := s.StablePartitionCtx(ctx, g)
@@ -265,31 +318,15 @@ func run(graphKind, load, save, algo, engine, delay, listen, peersList, sharddBi
 		fmt.Println("leader election is impossible in this graph (symmetric views)")
 		return 2
 	}
-	if shards > 1 && listen != "" {
+	if ef.listen != "" {
 		if algo != "mintime" {
 			fmt.Fprintf(os.Stderr, "electsim: -listen (multi-process shards) supports -algo mintime only, not %q\n", algo)
 			return 1
 		}
-		return runProcMode(s, g, phi, shards, seed, chaos, network, listen, peersList, sharddBin, 0)
+		return runProcMode(ctx, s, g, phi, ef.shards, seed, ef.chaos, network, ef.listen, peersList, sharddBin)
 	}
 
-	opts := election.Options{Engine: simEngine, Workers: workers, Concurrent: concurrent, Wire: wire, Context: ctx}
-	var chaosInj *election.FaultInjector
-	if shards > 1 {
-		opts.Shards, opts.ShardSeed = shards, seed
-		if chaos != 0 {
-			chaosInj = election.SeededShardChaos(chaos, shards)
-			opts.ShardFaults = chaosInj
-		}
-	}
-	if async {
-		model, ok := election.DelayModels(g)[delay]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "electsim: unknown delay model %q (want uniform, exp, pareto, fixed, fifo or slowcut)\n", delay)
-			return 1
-		}
-		opts.Async, opts.AsyncSeed, opts.Delay = true, seed, model
-	}
+	opts := election.Options{Realization: realization, Context: ctx}
 	var res *election.Result
 	switch algo {
 	case "mintime":
@@ -324,8 +361,8 @@ func run(graphKind, load, save, algo, engine, delay, listen, peersList, sharddBi
 		fmt.Printf("time: %d rounds (diameter in [%d,%d], election index %d)\n", res.Time, lo, hi, phi)
 	}
 	fmt.Printf("advice: %d bits\n", res.AdviceBits)
-	if async {
-		fmt.Printf("async schedule (%s): virtual time %.3f, max round skew %d\n", delay, res.VirtualTime, res.MaxSkew)
+	if ef.async {
+		fmt.Printf("async schedule (%s): virtual time %.3f, max round skew %d\n", ef.delay, res.VirtualTime, res.MaxSkew)
 	}
 	if st := res.ShardStats; st != nil {
 		fmt.Printf("sharded: %d shards, %d retries, %d crashes, %d recoveries", st.Shards, st.Retries, st.Crashes, st.Recoveries)
@@ -333,8 +370,8 @@ func run(graphKind, load, save, algo, engine, delay, listen, peersList, sharddBi
 			fmt.Printf(" (mean recovery %v)", st.MeanRecovery().Round(10*time.Microsecond))
 		}
 		fmt.Println()
-		if chaosInj != nil {
-			fmt.Printf("chaos schedule: %s\n", chaosInj)
+		if sh, ok := realization.(election.Sharded); ok && sh.Faults != nil {
+			fmt.Printf("chaos schedule: %s\n", sh.Faults)
 		}
 	}
 	if res.ClassViews > 0 {

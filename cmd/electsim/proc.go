@@ -29,7 +29,7 @@ import (
 
 // runProcMode is the -listen branch of run(): advice, staging, worker
 // spawning, supervision, verification, reporting. Returns the exit code.
-func runProcMode(s *election.System, g *election.Graph, phi, shards int, seed, chaos int64, network, listen, peersFlag, sharddBin string, timeout time.Duration) int {
+func runProcMode(ctx context.Context, s *election.System, g *election.Graph, phi, shards int, seed, chaos int64, network, listen, peersFlag, sharddBin string) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "electsim:", err)
 		return 1
@@ -38,7 +38,7 @@ func runProcMode(s *election.System, g *election.Graph, phi, shards int, seed, c
 	if err != nil {
 		return fail(err)
 	}
-	_, advBits, err := s.ComputeAdvice(g)
+	_, advBits, err := s.ComputeAdviceCtx(ctx, g)
 	if err != nil {
 		return fail(err)
 	}
@@ -93,10 +93,9 @@ func runProcMode(s *election.System, g *election.Graph, phi, shards int, seed, c
 	}
 
 	wall := time.Now()
-	res, stats, err := shard.RunProc(context.Background(), g, shard.ProcOptions{
+	res, stats, err := shard.RunProc(ctx, g, shard.ProcOptions{
 		Shards: shards, Network: network, Listen: listenAddr(network, listen, dir),
-		Options: shard.Options{RoundTimeout: timeout},
-		Start:   start,
+		Start: start,
 	})
 	if err != nil {
 		return fail(err)

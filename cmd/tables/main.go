@@ -1,6 +1,6 @@
-// Command tables regenerates every experiment table recorded in
-// EXPERIMENTS.md (rows E1-E18 of the per-experiment index in DESIGN.md),
-// printing GitHub-flavored markdown. Run with no flags to produce all
+// Command tables regenerates the experiment tables of rows E1-E18 of
+// the per-experiment index in DESIGN.md (§3), printing GitHub-flavored
+// markdown. Run with no flags to produce all
 // tables, or -exp E6 for a single one.
 package main
 
@@ -20,7 +20,7 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (E1..E12); empty = all")
+	exp := flag.String("exp", "", "experiment id (E1..E18); empty = all")
 	flag.Parse()
 	all := []experiment{
 		{"E1", "Election index = minimum election time (Prop. 2.1)", e1},
@@ -326,7 +326,7 @@ func e14() {
 	fmt.Println("| delay seed | leader | logical time | matches synchronous |")
 	fmt.Println("|---|---|---|---|")
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := s.RunMinTime(g, election.Options{Async: true, AsyncSeed: seed})
+		res, err := s.RunMinTime(g, election.Options{Realization: election.Async{Seed: seed}})
 		if err != nil {
 			die(err)
 		}
@@ -426,21 +426,21 @@ func e18() {
 func e12() {
 	g := election.RandomConnected(20, 10, 5)
 	s := election.NewSystem()
-	seq, err := s.RunMinTime(g, election.Options{})
+	bsp, err := s.RunMinTime(g, election.Options{})
 	if err != nil {
 		die(err)
 	}
-	conc, err := s.RunMinTime(g, election.Options{Concurrent: true})
+	conc, err := s.RunMinTime(g, election.Options{Realization: election.Goroutines{}})
 	if err != nil {
 		die(err)
 	}
-	wire, err := s.RunMinTime(g, election.Options{Concurrent: true, Wire: true})
+	wire, err := s.RunMinTime(g, election.Options{Realization: election.Goroutines{Wire: true}})
 	if err != nil {
 		die(err)
 	}
 	fmt.Println("| engine | leader | time |")
 	fmt.Println("|---|---|---|")
-	fmt.Printf("| sequential | %d | %d |\n", seq.Leader, seq.Time)
+	fmt.Printf("| bsp | %d | %d |\n", bsp.Leader, bsp.Time)
 	fmt.Printf("| goroutines+channels | %d | %d |\n", conc.Leader, conc.Time)
 	fmt.Printf("| goroutines, wire-encoded messages | %d | %d |\n", wire.Leader, wire.Time)
 }

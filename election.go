@@ -18,7 +18,9 @@
 //   - the large-time algorithms Generic(x) and Election1..4 of Section 4
 //     (RunGeneric, RunMilestone, RunFullMap, RunDPlusPhi);
 //   - every lower-bound family of the paper (see families.go);
-//   - a LOCAL-model simulator with a goroutine-per-node engine.
+//   - a LOCAL-model simulator with one run-options type: Options names
+//     one Realization of the synchronous rounds (BSP, Async, Sharded or
+//     Goroutines), and every realization elects identically.
 //
 // A System owns the view-interning state; create one per workload with
 // NewSystem and use it for all operations on related graphs.
@@ -88,42 +90,18 @@ var (
 	GridStream            = graph.GridStream
 )
 
-// Engine selects how the partition-level quantities — the election
-// index φ, feasibility, and the stable partition — are computed.
-type Engine int
-
-const (
-	// EnginePart is the view-free partition-refinement engine
-	// (internal/part): zero interning, zero hashing, O(n+m) per depth.
-	// It is the default and scales to graphs two orders of magnitude
-	// larger than the view path.
-	EnginePart Engine = iota
-	// EngineView is the legacy interned-view refinement
-	// (view.Refinement). Both engines are bit-identical (pinned by the
-	// equivalence property tests in internal/part); EngineView remains
-	// selectable for cross-checking and profiling comparisons.
-	EngineView
-)
-
 // System owns the shared view-interning table used by the oracle and the
-// simulated nodes, plus the engine choice for partition-level
-// computations. It is safe for concurrent use. The table is created on
-// first use: purely partition-level workloads (ElectionIndex, Feasible,
-// StablePartition under EnginePart) never allocate interning state.
+// simulated nodes. It is safe for concurrent use. The table is created on
+// first use: partition-level workloads (ElectionIndex, Feasible,
+// StablePartition) run on the view-free refinement of internal/part and
+// never allocate interning state.
 type System struct {
 	tabOnce sync.Once
 	tab     *view.Table
-	engine  Engine
 }
 
-// NewSystem returns a fresh System using the view-free partition engine.
-func NewSystem() *System { return NewSystemWith(EnginePart) }
-
-// NewSystemWith returns a fresh System computing φ, feasibility and
-// stable partitions with the given engine.
-func NewSystemWith(e Engine) *System {
-	return &System{engine: e}
-}
+// NewSystem returns a fresh System.
+func NewSystem() *System { return &System{} }
 
 // table returns the lazily-created view-interning table.
 func (s *System) table() *view.Table {
@@ -141,33 +119,19 @@ func (s *System) ElectionIndex(g *Graph) (phi int, feasible bool) {
 }
 
 // ElectionIndexCtx is ElectionIndex with a cancellation checkpoint per
-// refinement depth (EnginePart only; the legacy view engine is a
-// cross-checking fixture and runs uninterrupted).
+// refinement depth.
 func (s *System) ElectionIndexCtx(ctx context.Context, g *Graph) (phi int, feasible bool, err error) {
-	if s.engine == EngineView {
-		phi, feasible = view.ElectionIndex(s.table(), g)
-		return phi, feasible, nil
-	}
 	return part.ElectionIndexCtx(ctx, g)
 }
 
 // StablePartitionCtx is StablePartition with a cancellation checkpoint
-// per refinement depth (EnginePart only).
+// per refinement depth.
 func (s *System) StablePartitionCtx(ctx context.Context, g *Graph) (classes []int, depth int, err error) {
-	if s.engine == EngineView {
-		classes, depth = view.StablePartition(s.table(), g)
-		return classes, depth, nil
-	}
 	return part.StablePartitionCtx(ctx, g)
 }
 
 // Feasible reports whether leader election is at all possible in g.
-func (s *System) Feasible(g *Graph) bool {
-	if s.engine == EngineView {
-		return view.Feasible(s.table(), g)
-	}
-	return part.Feasible(g)
-}
+func (s *System) Feasible(g *Graph) bool { return part.Feasible(g) }
 
 // ComputeAdvice runs the oracle of Theorem 3.1 and returns the advice
 // both decoded and encoded; the encoded length is O(n log n) bits.
@@ -188,72 +152,118 @@ func (s *System) ComputeAdviceCtx(ctx context.Context, g *Graph) (*Advice, Bits,
 	return a, a.Encode(), nil
 }
 
-// SimEngine selects the synchronous round engine for a run. All engines
-// are observationally identical (same Outputs, Rounds, Time, Messages);
-// they differ only in how a round is realized.
-type SimEngine int
-
-const (
-	// SimBSP is the default: the bulk-synchronous class-sharing engine
-	// (sim.RunBSP) — one part.Refiner step and one interned view per
-	// view class per round, Decide sweep over a worker pool. It is the
-	// engine that carries end-to-end elections to 100k-node graphs.
-	SimBSP SimEngine = iota
-	// SimSequential is the per-node deterministic loop, kept as the
-	// reference the class-sharing engine is pinned against.
-	SimSequential
-)
-
-// Options configures a simulation run. The zero value selects the
-// class-sharing bulk-synchronous engine with a generous round budget;
-// the Concurrent/Async flags override Engine with the message-passing
-// realizations (goroutine per node, event-driven asynchrony), and
-// Shards > 1 with the crash-tolerant sharded BSP engine.
+// Options configures a simulation run. The zero value runs the
+// class-sharing bulk-synchronous engine with the algorithm's default
+// round budget.
 type Options struct {
-	Engine     SimEngine  // synchronous engine: SimBSP (default) or SimSequential
-	Workers    int        // BSP decide-sweep workers; 0 = GOMAXPROCS
-	Concurrent bool       // one goroutine per node, channel message passing
-	Wire       bool       // serialize every message to bits (concurrent only)
-	Async      bool       // asynchronous network + time-stamp synchronizer
-	AsyncSeed  int64      // message-delay seed for Async runs
-	Delay      DelayModel // Async delay adversary; nil = uniform (0,1]
-	MaxRounds  int        // 0 means a default proportional to the graph size
-
-	// Shards, when > 1, runs the synchronous rounds on the sharded
-	// crash-tolerant BSP engine (internal/sim/shard): each shard owns a
-	// contiguous node range and exchanges only boundary class ids per
-	// round. Outputs, Rounds, Time and Messages are bit-identical to the
-	// single-process engine. Ignored by the Concurrent/Async/Sequential
-	// realizations.
-	Shards int
-	// ShardFaults, when non-nil (and Shards > 1), wraps the boundary
-	// transport in a fault injector with this schedule — drops, dups,
-	// reorders, delays, link cuts and whole-shard crashes; see
-	// NewFaultInjector and the shard fault categories. The run must
-	// still produce bit-identical outputs or fail with ShardStuckError.
-	ShardFaults *FaultInjector
-	// ShardSeed drives the sharded engine's retry-backoff jitter.
-	ShardSeed int64
-	// ShardTransport, when non-nil (and Shards > 1), carries the
-	// boundary traffic instead of the default in-process channel
-	// transport — e.g. a NewShardNetGroup mesh of loopback TCP or unix
-	// sockets. ShardFaults, when also set, wraps whichever transport
-	// is in effect.
-	ShardTransport ShardTransport
-	// ShardJournal, when non-nil (and Shards > 1), records per-round
-	// checkpoints and boundary payloads instead of the default
-	// in-memory journal — e.g. a NewShardFileJournal directory whose
-	// fsync-before-rename commits survive kill -9.
-	ShardJournal ShardJournal
-
-	// Context, when non-nil, bounds the run: the BSP engine checks it
-	// at every round barrier and the asynchronous engine per logical
-	// round (and periodically between events), so a deadline or cancel
-	// aborts a runaway simulation cleanly instead of only erroring at
-	// the MaxRounds budget. Nil means context.Background(). The
-	// sequential and concurrent reference engines ignore it — they are
-	// pinning fixtures, not serving paths.
+	// Realization is how the synchronous LOCAL rounds are carried out;
+	// nil means BSP{}. Every realization yields the same Outputs,
+	// Rounds and Time (DESIGN.md §5).
+	Realization Realization
+	// MaxRounds bounds the run; 0 means a default proportional to the
+	// graph size (sim.DefaultMaxRounds), or the algorithm's own bound.
+	// Exceeding it fails with a *StuckError on every realization.
+	MaxRounds int
+	// Context, when non-nil, bounds the run: BSP and Sharded check it
+	// at every round barrier and Async per logical round (and
+	// periodically between events), so a deadline or cancel aborts a
+	// runaway simulation cleanly instead of only erroring at the
+	// MaxRounds budget. Nil means context.Background(). Goroutines
+	// ignores it.
 	Context context.Context
+}
+
+// Realization is one execution of the paper's synchronous LOCAL rounds:
+// BSP, Async, Sharded or Goroutines. The set is closed (the method is
+// unexported), so a run names exactly one realization and every field
+// it sets is one that realization reads.
+type Realization interface {
+	// realize runs the rounds and fills res's realization-specific
+	// fields (VirtualTime, MaxSkew, ShardStats).
+	realize(ctx context.Context, tab *view.Table, g *Graph, f sim.Factory, maxRounds int, res *Result) (*sim.Result, error)
+}
+
+// BSP is the default realization: the bulk-synchronous class-sharing
+// engine (sim.RunBSP) — one interned view per view class per round and
+// a Decide sweep over a worker pool. It carries end-to-end elections to
+// 100k-node graphs.
+type BSP struct {
+	Workers int // decide-sweep workers; 0 = GOMAXPROCS
+}
+
+func (b BSP) realize(ctx context.Context, tab *view.Table, g *Graph, f sim.Factory, maxRounds int, _ *Result) (*sim.Result, error) {
+	return sim.RunBSPCtx(ctx, tab, g, f, maxRounds, b.Workers)
+}
+
+// Async runs the rounds on an asynchronous network bridged by the
+// time-stamp synchronizer (sim.RunAsync). Decisions and logical rounds
+// are those of BSP; the run also reports Result.VirtualTime and
+// Result.MaxSkew.
+type Async struct {
+	Seed  int64      // message-delay seed
+	Delay DelayModel // delay adversary; nil = uniform (0,1]
+}
+
+func (a Async) realize(ctx context.Context, tab *view.Table, g *Graph, f sim.Factory, maxRounds int, res *Result) (*sim.Result, error) {
+	ar, err := sim.RunAsyncCtx(ctx, tab, g, f, maxRounds, a.Seed, a.Delay)
+	if err != nil {
+		return nil, err
+	}
+	res.VirtualTime, res.MaxSkew = ar.VirtualTime, ar.MaxSkew
+	return &ar.Result, nil
+}
+
+// Sharded runs the rounds on the crash-tolerant sharded BSP engine
+// (internal/sim/shard): each of Shards contiguous node ranges exchanges
+// only boundary class ids per round. Outputs, Rounds, Time and Messages
+// are bit-identical to BSP's; the run also reports Result.ShardStats.
+type Sharded struct {
+	// Shards is the number of node ranges; it must be at least 2.
+	Shards int
+	// Transport carries the boundary traffic; nil means an in-process
+	// channel mesh. NewShardNetGroup builds one over real sockets.
+	Transport ShardTransport
+	// Journal records per-round checkpoints and boundary payloads; nil
+	// means in memory. NewShardFileJournal survives kill -9.
+	Journal ShardJournal
+	// Faults, when non-nil, wraps the transport in a fault injector with
+	// this schedule — drops, dups, reorders, delays, link cuts and
+	// whole-shard crashes (see the ShardFault* categories). The run must
+	// still produce bit-identical outputs or fail with ShardStuckError.
+	Faults *FaultInjector
+	// Seed drives the retry-backoff jitter.
+	Seed int64
+}
+
+func (sh Sharded) realize(ctx context.Context, tab *view.Table, g *Graph, f sim.Factory, maxRounds int, res *Result) (*sim.Result, error) {
+	if sh.Shards < 2 {
+		return nil, fmt.Errorf("election: Sharded needs at least 2 shards, got %d", sh.Shards)
+	}
+	opt := shard.Options{Shards: sh.Shards, MaxRounds: maxRounds, Seed: sh.Seed,
+		Transport: sh.Transport, Journal: sh.Journal}
+	if sh.Faults != nil {
+		inner := sh.Transport
+		if inner == nil {
+			inner = shard.NewChanTransport(sh.Shards)
+		}
+		opt.Transport = shard.NewFaultTransport(inner, sh.Faults)
+	}
+	r, stats, err := shard.RunCtx(ctx, tab, g, f, opt)
+	res.ShardStats = stats
+	return r, err
+}
+
+// Goroutines runs one goroutine per node with channel message passing
+// (sim.RunConcurrent). With Wire, every message is serialized to bits
+// and re-interned on arrival, and Result.WireBits counts them; only
+// B^r(v) information ever crosses an edge. Wire is exponential in the
+// round number and meant for small graphs. Options.Context is ignored.
+type Goroutines struct {
+	Wire bool
+}
+
+func (w Goroutines) realize(_ context.Context, tab *view.Table, g *Graph, f sim.Factory, maxRounds int, _ *Result) (*sim.Result, error) {
+	return sim.RunConcurrent(tab, g, f, maxRounds, w.Wire)
 }
 
 // DelayModel is the asynchronous engine's adversary: it assigns a
@@ -292,11 +302,12 @@ var (
 // single registry the differential suites and benchmarks iterate.
 func DelayModels(g *Graph) map[string]DelayModel { return sim.AllDelayModels(g) }
 
-// StuckError is the asynchronous engine's typed diagnosis of a run that
-// could not complete: the round budget tripped or the network quiesced
-// with nodes undecided. It carries the stuck nodes' rounds and the
-// pending-event count, so services and tests can branch on the failure
-// shape instead of parsing a message (errors.As-able).
+// StuckError is the typed diagnosis of a run that could not complete:
+// the round budget tripped (on every realization) or the asynchronous
+// network quiesced with nodes undecided. It carries the undecided
+// count and round window (and, on Async, a sample of the stuck nodes and
+// the pending-event count), so services and tests can branch on the
+// failure shape instead of parsing a message (errors.As-able).
 type StuckError = sim.StuckError
 
 // FaultInjector is the countdown-budget / seeded-rate fault schedule
@@ -357,7 +368,7 @@ var (
 
 // ShardStats reports a sharded run's fault-tolerance economics:
 // crashes observed, recoveries completed, total replay time, data
-// resends. Returned on Result.ShardStats when Options.Shards > 1.
+// resends. Returned on Result.ShardStats by the Sharded realization.
 type ShardStats = shard.Stats
 
 // ShardStuckError reports that a fault schedule made progress
@@ -373,17 +384,17 @@ type Result struct {
 	Outputs    [][]int // per-node port sequences (p1, q1, ...)
 	Rounds     []int   // per-node decision rounds
 	Messages   int     // total messages exchanged
-	WireBits   int     // total bits on the wire (Wire mode only)
-	ClassViews int     // representative views interned (SimBSP/Async)
+	WireBits   int     // total bits on the wire (Goroutines{Wire: true} only)
+	ClassViews int     // representative views interned (BSP/Async)
 
-	// Async-only schedule measurements: the virtual time at which the
+	// Async schedule measurements: the virtual time at which the
 	// last node decided and the maximum observed logical-round spread
 	// between the fastest node and the slowest undecided one.
 	VirtualTime float64
 	MaxSkew     int
 
 	// ShardStats carries the sharded engine's crash/recovery accounting
-	// (Options.Shards > 1 only; nil otherwise).
+	// (Sharded only; nil otherwise).
 	ShardStats *ShardStats
 }
 
@@ -396,51 +407,22 @@ func (s *System) run(g *Graph, f sim.Factory, adviceLen int, o Options) (*Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var res *sim.Result
-	var err error
-	virtualTime, maxSkew := 0.0, 0
-	var shardStats *ShardStats
-	switch {
-	case o.Async:
-		var ar *sim.AsyncResult
-		ar, err = sim.RunAsyncCtx(ctx, s.table(), g, f, maxRounds, o.AsyncSeed, o.Delay)
-		if ar != nil {
-			res = &ar.Result
-			virtualTime, maxSkew = ar.VirtualTime, ar.MaxSkew
-		}
-	case o.Concurrent:
-		res, err = sim.RunConcurrent(s.table(), g, f, maxRounds, o.Wire)
-	case o.Engine == SimSequential:
-		res, err = sim.RunSequential(s.table(), g, f, maxRounds)
-	case o.Shards > 1:
-		opt := shard.Options{Shards: o.Shards, MaxRounds: maxRounds, Seed: o.ShardSeed,
-			Transport: o.ShardTransport, Journal: o.ShardJournal}
-		if o.ShardFaults != nil {
-			inner := o.ShardTransport
-			if inner == nil {
-				inner = shard.NewChanTransport(o.Shards)
-			}
-			opt.Transport = shard.NewFaultTransport(inner, o.ShardFaults)
-		}
-		res, shardStats, err = shard.RunCtx(ctx, s.table(), g, f, opt)
-	default:
-		res, err = sim.RunBSPCtx(ctx, s.table(), g, f, maxRounds, o.Workers)
+	realization := o.Realization
+	if realization == nil {
+		realization = BSP{}
 	}
+	res := &Result{AdviceBits: adviceLen}
+	r, err := realization.realize(ctx, s.table(), g, f, maxRounds, res)
 	if err != nil {
 		return nil, err
 	}
-	leader, err := sim.Verify(g, res.Outputs)
+	res.Leader, err = sim.Verify(g, r.Outputs)
 	if err != nil {
 		return nil, fmt.Errorf("election failed verification: %w", err)
 	}
-	return &Result{
-		Leader: leader, Time: res.Time, AdviceBits: adviceLen,
-		Outputs: res.Outputs, Rounds: res.Rounds,
-		Messages: res.Messages, WireBits: res.WireBits,
-		ClassViews:  res.ClassViews,
-		VirtualTime: virtualTime, MaxSkew: maxSkew,
-		ShardStats: shardStats,
-	}, nil
+	res.Time, res.Outputs, res.Rounds = r.Time, r.Outputs, r.Rounds
+	res.Messages, res.WireBits, res.ClassViews = r.Messages, r.WireBits, r.ClassViews
+	return res, nil
 }
 
 // RunMinTime performs the complete Theorem 3.1 pipeline on g: the oracle

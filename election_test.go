@@ -29,11 +29,11 @@ func TestPublicMinTimePipeline(t *testing.T) {
 func TestPublicMinTimeConcurrentAndWire(t *testing.T) {
 	s := NewSystem()
 	g := RandomConnected(12, 6, 3)
-	a, err := s.RunMinTime(g, Options{Concurrent: true})
+	a, err := s.RunMinTime(g, Options{Realization: Goroutines{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.RunMinTime(g, Options{Concurrent: true, Wire: true})
+	b, err := s.RunMinTime(g, Options{Realization: Goroutines{Wire: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ package election
 // which also exercises the BSP worker pool and the shared labeler.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -55,12 +57,50 @@ func equivalenceFamilies() map[string]*Graph {
 	}
 }
 
+// sequential is the per-node deterministic loop (sim.RunSequential) as a
+// test-only Realization: the reference the production realizations are
+// pinned against through the same RunElect/RunMinTime entry points.
+type sequential struct{}
+
+func (sequential) realize(_ context.Context, tab *view.Table, g *Graph, f sim.Factory, maxRounds int, _ *Result) (*sim.Result, error) {
+	return sim.RunSequential(tab, g, f, maxRounds)
+}
+
 // engineOptions are the three synchronous realizations under test.
 func engineOptions() map[string]Options {
 	return map[string]Options{
-		"bsp":        {Engine: SimBSP},
-		"sequential": {Engine: SimSequential},
-		"concurrent": {Concurrent: true},
+		"bsp":        {Realization: BSP{}},
+		"sequential": {Realization: sequential{}},
+		"concurrent": {Realization: Goroutines{}},
+	}
+}
+
+// TestRoundBudgetTyped: exceeding MaxRounds is the same typed failure
+// whichever realization runs, so a caller's errors.As does not depend
+// on the realization it picked.
+func TestRoundBudgetTyped(t *testing.T) {
+	g := Lollipop(4, 3)
+	s := NewSystem()
+	for name, r := range map[string]Realization{
+		"bsp":        BSP{},
+		"sequential": sequential{},
+		"goroutines": Goroutines{},
+		"wire":       Goroutines{Wire: true},
+		"async":      Async{Seed: 1},
+		"sharded":    Sharded{Shards: 2},
+	} {
+		_, err := s.RunGeneric(g, 3, Options{MaxRounds: 1, Realization: r})
+		var se *StuckError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: err = %v, want a *StuckError", name, err)
+			continue
+		}
+		if se.MaxRounds != 1 || se.Undecided == 0 {
+			t.Errorf("%s: StuckError = %+v", name, se)
+		}
+	}
+	if _, err := s.RunGeneric(g, 3, Options{Realization: Sharded{Shards: 1}}); err == nil {
+		t.Error("Sharded{Shards: 1} ran; want an error")
 	}
 }
 
@@ -200,14 +240,14 @@ func TestDifferentialConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/bsp: %v", name, err)
 		}
-		seqRes, err := s.RunElect(g, enc, Options{Engine: SimSequential})
+		seqRes, err := s.RunElect(g, enc, Options{Realization: sequential{}})
 		if err != nil {
 			t.Fatalf("%s/seq: %v", name, err)
 		}
 		requireSameElection(t, name+"/seq", ref, seqRes)
 		for mname, model := range DelayModels(g) {
 			for seed := int64(0); seed < 5; seed++ {
-				res, err := s.RunElect(g, enc, Options{Async: true, AsyncSeed: seed, Delay: model})
+				res, err := s.RunElect(g, enc, Options{Realization: Async{Seed: seed, Delay: model}})
 				if err != nil {
 					t.Fatalf("%s/async-%s seed %d: %v", name, mname, seed, err)
 				}
@@ -240,7 +280,7 @@ func TestAsyncConformanceModerateScale(t *testing.T) {
 			if mname == "exp" || mname == "fixed" {
 				continue // keep -race runtime sane; covered at small scale
 			}
-			res, err := s.RunMinTime(g, Options{Async: true, AsyncSeed: 2, Delay: model})
+			res, err := s.RunMinTime(g, Options{Realization: Async{Seed: 2, Delay: model}})
 			if err != nil {
 				t.Fatalf("%s/async-%s: %v", name, mname, err)
 			}

@@ -52,7 +52,7 @@ func main() {
 		{"FIFO links", &election.FIFODelay{}},
 		{"slow-cut on the arc", slowCut},
 	} {
-		res, err := s.RunMinTime(g, election.Options{Async: true, AsyncSeed: 7, Delay: spec.model})
+		res, err := s.RunMinTime(g, election.Options{Realization: election.Async{Seed: 7, Delay: spec.model}})
 		if err != nil {
 			log.Fatalf("%s: %v", spec.name, err)
 		}
@@ -64,9 +64,8 @@ func main() {
 
 	// Sever the cut outright: the arc can never hear the rest of the
 	// graph, so the synchronizer stalls and the engine must refuse.
-	_, err := s.RunMinTime(g, election.Options{
-		Async: true, AsyncSeed: 7,
-		Delay: election.NewSlowCutDelay(arc, election.DropDelay, 0.02),
-	})
+	_, err := s.RunMinTime(g, election.Options{Realization: election.Async{
+		Seed: 7, Delay: election.NewSlowCutDelay(arc, election.DropDelay, 0.02),
+	}})
 	fmt.Printf("\nsevered cut: %v\n", err)
 }

@@ -33,12 +33,12 @@ func main() {
 	}
 	for _, spec := range []runSpec{
 		{"synchronous LOCAL (reference)", election.Options{}},
-		{"goroutines + channels", election.Options{Concurrent: true}},
-		{"goroutines, bit-serialized wire", election.Options{Concurrent: true, Wire: true}},
-		{"async + synchronizer (seed 1)", election.Options{Async: true, AsyncSeed: 1}},
-		{"async + synchronizer (seed 99)", election.Options{Async: true, AsyncSeed: 99}},
-		{"async, heavy-tailed delays", election.Options{Async: true, AsyncSeed: 1, Delay: &election.ParetoDelay{}}},
-		{"async, FIFO links", election.Options{Async: true, AsyncSeed: 1, Delay: &election.FIFODelay{}}},
+		{"goroutines + channels", election.Options{Realization: election.Goroutines{}}},
+		{"goroutines, bit-serialized wire", election.Options{Realization: election.Goroutines{Wire: true}}},
+		{"async + synchronizer (seed 1)", election.Options{Realization: election.Async{Seed: 1}}},
+		{"async + synchronizer (seed 99)", election.Options{Realization: election.Async{Seed: 99}}},
+		{"async, heavy-tailed delays", election.Options{Realization: election.Async{Seed: 1, Delay: &election.ParetoDelay{}}}},
+		{"async, FIFO links", election.Options{Realization: election.Async{Seed: 1, Delay: &election.FIFODelay{}}}},
 	} {
 		res, err := s.RunMinTime(g, spec.o)
 		if err != nil {

@@ -51,7 +51,7 @@ func main() {
 
 	// Every node runs Algorithm Elect for exactly φ synchronous rounds
 	// (here with one goroutine per node and channel message passing).
-	res, err := s.RunElect(g, advice, election.Options{Concurrent: true})
+	res, err := s.RunElect(g, advice, election.Options{Realization: election.Goroutines{}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 
 	// Sharded, clean transport: three shards own contiguous node
 	// ranges and exchange only boundary class ids each round.
-	res, err := s.RunMinTime(g, election.Options{Shards: 3})
+	res, err := s.RunMinTime(g, election.Options{Realization: election.Sharded{Shards: 3}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func main() {
 	for shard := 0; shard < 3; shard++ {
 		inj.ArmAfter(election.ShardCrashCat(shard), 1+shard, 1)
 	}
-	res, err = s.RunMinTime(g, election.Options{Shards: 3, ShardFaults: inj})
+	res, err = s.RunMinTime(g, election.Options{Realization: election.Sharded{Shards: 3, Faults: inj}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,12 +65,12 @@ func main() {
 			log.Fatal(err)
 		}
 		defer grp.Close()
-		res, err := s.RunMinTime(g, election.Options{
-			Shards:         3,
-			ShardTransport: grp,
-			ShardJournal:   election.NewShardFileJournal(nil, filepath.Join(dir, journal)),
-			ShardFaults:    inj,
-		})
+		res, err := s.RunMinTime(g, election.Options{Realization: election.Sharded{
+			Shards:    3,
+			Transport: grp,
+			Journal:   election.NewShardFileJournal(nil, filepath.Join(dir, journal)),
+			Faults:    inj,
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func main() {
 	// the wiring map) distributes advice once, at installation time; when
 	// the token is lost, stations elect the token regenerator in exactly
 	// φ rounds.
-	res, err := s.RunMinTime(ring.G, election.Options{Concurrent: true})
+	res, err := s.RunMinTime(ring.G, election.Options{Realization: election.Goroutines{}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 
 	// Alternative, almost no installed state: if stations may take
 	// D + φ + c rounds, a logarithmic-size advice suffices (Theorem 4.1).
-	res2, err := s.RunMilestone(ring.G, 1, election.Options{Concurrent: true})
+	res2, err := s.RunMilestone(ring.G, 1, election.Options{Realization: election.Goroutines{}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestAsyncEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		res, err := s.RunMinTime(g, Options{Async: true, AsyncSeed: seed})
+		res, err := s.RunMinTime(g, Options{Realization: Async{Seed: seed}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

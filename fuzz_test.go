@@ -146,9 +146,9 @@ func FuzzElectionConformance(f *testing.F) {
 		if g == nil || g.N() > 64 {
 			return
 		}
-		sPart, sView := NewSystem(), NewSystemWith(EngineView)
+		sPart := NewSystem()
 		phi1, ok1 := sPart.ElectionIndex(g)
-		phi2, ok2 := sView.ElectionIndex(g)
+		phi2, ok2 := view.ElectionIndex(view.NewTable(), g)
 		if phi1 != phi2 || ok1 != ok2 {
 			t.Fatalf("engines disagree on the election index: part (%d,%v) vs view (%d,%v)", phi1, ok1, phi2, ok2)
 		}
@@ -171,9 +171,9 @@ func FuzzElectionConformance(f *testing.F) {
 			inCut[v] = true
 		}
 		for name, o := range map[string]Options{
-			"seq":           {Engine: SimSequential},
-			"async-uniform": {Async: true, AsyncSeed: seed},
-			"async-slowcut": {Async: true, AsyncSeed: seed, Delay: NewSlowCutDelay(inCut, 9, 0.1)},
+			"seq":           {Realization: sequential{}},
+			"async-uniform": {Realization: Async{Seed: seed}},
+			"async-slowcut": {Realization: Async{Seed: seed, Delay: NewSlowCutDelay(inCut, 9, 0.1)}},
 		} {
 			res, err := sPart.RunElect(g, enc, o)
 			if err != nil {

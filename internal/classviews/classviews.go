@@ -8,8 +8,8 @@
 // Nodes in the same view-equivalence class at depth l carry *identical*
 // B^l(v) — the Yamashita–Kameda quotient argument behind Proposition
 // 2.1 — so no algorithm ever needs more than one interned view per
-// class. A Materializer pumps a view-free part.Refiner step per depth
-// to track the classes in O(n+m), assembles one packed edge matrix row
+// class. A Materializer pumps a view-free part.FrontierRefiner step per
+// depth to track the classes, assembles one packed edge matrix row
 // per class representative (children read through the previous depth's
 // classes), and interns the rows with Table.MakeBatch. Every node's
 // view at the current depth is Views()[Class()[v]], and — because

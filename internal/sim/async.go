@@ -51,14 +51,16 @@ type StuckNode struct {
 	Round int
 }
 
-// StuckError reports an asynchronous run that could not complete:
-// either the round budget was exceeded (a node needed more than
-// MaxRounds logical rounds) or the network quiesced (the event queue
-// drained with nodes still undecided — the signature of an adversary
-// that drops messages, e.g. a severed slow cut). It carries the
-// diagnostics the service and the tests branch on: how many nodes are
-// stuck, the round window they occupy, a sample of them, and the
-// pending-event count at failure.
+// StuckError reports a run that could not complete: either the round
+// budget was exceeded (a node needed more than MaxRounds rounds; every
+// engine reports this failure with this type) or, on the asynchronous
+// engine, the network quiesced (the event queue drained with nodes
+// still undecided — the signature of an adversary that drops messages,
+// e.g. a severed slow cut). It carries the diagnostics the service and
+// the tests branch on: how many nodes are stuck and the round window
+// they occupy; the asynchronous engine adds a sample of them and the
+// pending-event count at failure. The synchronous engines fail in
+// lockstep, so their window is the budget round itself.
 type StuckError struct {
 	Quiesced  bool        // event queue drained; otherwise the budget tripped
 	MaxRounds int         // the round budget, when !Quiesced
@@ -70,16 +72,26 @@ type StuckError struct {
 }
 
 func (e *StuckError) Error() string {
+	msg := fmt.Sprintf("sim: round budget of %d exceeded: %d nodes undecided after %d rounds",
+		e.MaxRounds, e.Undecided, e.MaxRounds)
+	if e.Quiesced {
+		msg = fmt.Sprintf("sim: network quiesced: %d nodes undecided", e.Undecided)
+	}
+	if len(e.Sample) == 0 {
+		return msg
+	}
 	sample := make([]string, len(e.Sample))
 	for i, s := range e.Sample {
 		sample[i] = fmt.Sprintf("node %d@r%d", s.Node, s.Round)
 	}
-	diag := fmt.Sprintf("%d undecided nodes at rounds %d..%d (%s), %d pending events",
-		e.Undecided, e.MinRound, e.MaxRound, strings.Join(sample, ", "), e.Pending)
-	if e.Quiesced {
-		return fmt.Sprintf("sim: async network quiesced: %s", diag)
-	}
-	return fmt.Sprintf("sim: async round budget of %d exceeded: %s", e.MaxRounds, diag)
+	return fmt.Sprintf("%s; undecided nodes at rounds %d..%d (%s), %d pending events",
+		msg, e.MinRound, e.MaxRound, strings.Join(sample, ", "), e.Pending)
+}
+
+// budgetExceeded is the lockstep engines' round-budget failure: every
+// undecided node is at the budget round.
+func budgetExceeded(maxRounds, undecided int) *StuckError {
+	return &StuckError{MaxRounds: maxRounds, Undecided: undecided, MinRound: maxRounds, MaxRound: maxRounds}
 }
 
 // AsyncResult extends Result with the schedule-level measurements.

@@ -5,12 +5,12 @@
 // per directed edge). But nodes in the same view-equivalence class at
 // depth r carry *identical* B^r(v) — the Yamashita–Kameda quotient
 // argument behind Proposition 2.1 — so a round only ever needs one
-// interned view per class. RunBSP exploits that through the shared
-// classviews.Materializer (one part.Refiner step and one interned view
-// per class per round; the Theorem 3.1 oracle consumes the same
-// materializer): every node reads its view as Views()[Class()[v]], and
-// the Decide sweep is batched over a worker pool sharded by node ranges
-// with a barrier per round.
+// interned view per class. RunBSP exploits that through the
+// classviews.Materializer it shares with RunAsync (one
+// part.FrontierRefiner step and one interned view per class per round):
+// every node reads its view as Views()[Class()[v]], and the Decide
+// sweep is batched over a worker pool sharded by node ranges with a
+// barrier per round.
 //
 // The engine is observationally identical to RunSequential (same
 // Outputs, Rounds, Time, Messages, and — because interning makes
@@ -67,7 +67,7 @@ func RunBSPCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, 
 			break
 		}
 		if r >= maxRounds {
-			return nil, fmt.Errorf("sim: %d nodes undecided after %d rounds", remaining, maxRounds)
+			return nil, budgetExceeded(maxRounds, remaining)
 		}
 		cv.Step()
 		res.ClassViews += cv.NumClasses()

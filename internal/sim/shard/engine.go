@@ -44,13 +44,14 @@ type Options struct {
 	// is waiting for.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// MaxRestarts bounds supervisor restarts across the run (default
-	// 16); beyond it the run fails with ShardStuckError.
-	MaxRestarts int
 	// Seed drives the retry jitter (chaos schedules are seeded
 	// separately, on the FaultTransport's injector).
 	Seed int64
 }
+
+// maxRestarts bounds supervisor restarts across a run; beyond it the
+// run fails with ShardStuckError.
+const maxRestarts = 16
 
 func (o Options) maxRounds(g *graph.Graph) int {
 	if o.MaxRounds > 0 {
@@ -78,13 +79,6 @@ func (o Options) retryMax() time.Duration {
 		return o.RetryMax
 	}
 	return 250 * time.Millisecond
-}
-
-func (o Options) maxRestarts() int {
-	if o.MaxRestarts > 0 {
-		return o.MaxRestarts
-	}
-	return 16
 }
 
 // Stats reports the run's fault-tolerance economics. Result.Messages
@@ -119,8 +113,12 @@ type ShardStuckError struct {
 	Stuck  *sim.StuckError
 }
 
+// Error names the shard, round and reason with the undecided count; it
+// does not append the embedded StuckError's text, which would claim a
+// round budget that was never exceeded.
 func (e *ShardStuckError) Error() string {
-	return fmt.Sprintf("shard: shard %d stuck at round %d (%s): %v", e.Shard, e.Round, e.Reason, e.Stuck)
+	return fmt.Sprintf("shard: shard %d stuck at round %d (%s) with %d nodes undecided",
+		e.Shard, e.Round, e.Reason, e.Stuck.Undecided)
 }
 
 func (e *ShardStuckError) Unwrap() error {
@@ -297,9 +295,9 @@ func (c *coord) handle(rep report) (done bool, err error) {
 	case reportCrashed:
 		c.stats.Crashes++
 		c.restarts++
-		if c.restarts > c.opt.maxRestarts() {
+		if c.restarts > maxRestarts {
 			return false, c.globalStuck(rep.shard, c.lastRound[rep.shard],
-				fmt.Sprintf("restart budget of %d exhausted", c.opt.maxRestarts()))
+				fmt.Sprintf("restart budget of %d exhausted", maxRestarts))
 		}
 		c.restart(rep.shard, c.restarts)
 	case reportRecovered:
@@ -335,7 +333,8 @@ func (c *coord) handle(rep report) (done bool, err error) {
 			return true, nil
 		}
 		if rep.round >= c.maxRounds {
-			return false, fmt.Errorf("sim: %d nodes undecided after %d rounds", total, c.maxRounds)
+			return false, &sim.StuckError{MaxRounds: c.maxRounds, Undecided: total,
+				MinRound: c.maxRounds, MaxRound: c.maxRounds}
 		}
 		c.res.Messages += 2 * c.topo.g.M()
 		c.highestGranted = rep.round

@@ -45,7 +45,7 @@ type ProcOptions struct {
 	// for tcp ("unix" requires an explicit socket path).
 	Listen string
 	// Options carries the engine knobs the supervisor shares with the
-	// in-process engine (MaxRounds, MaxRestarts); Transport, Journal,
+	// in-process engine (MaxRounds); Transport, Journal,
 	// RoundTimeout and the retry knobs belong to the workers.
 	Options Options
 	// Start launches the worker process for shard s, incarnation inc,
@@ -53,17 +53,11 @@ type ProcOptions struct {
 	// cmd/shardd. Called once per shard at startup and once per
 	// restart; it must not block on the worker's lifetime.
 	Start func(shard, inc int, ctrlAddr string) error
-	// HelloTimeout bounds how long an accepted control connection may
-	// take to identify itself (default 10s).
-	HelloTimeout time.Duration
 }
 
-func (po ProcOptions) helloTimeout() time.Duration {
-	if po.HelloTimeout > 0 {
-		return po.HelloTimeout
-	}
-	return 10 * time.Second
-}
+// helloTimeout bounds how long an accepted control connection may take
+// to identify itself.
+const helloTimeout = 10 * time.Second
 
 // procSuper is the supervisor's connection registry.
 type procSuper struct {
@@ -122,8 +116,8 @@ func (ps *procSuper) report(rep report) {
 // register, then translate control frames into supervisor reports. A
 // conn dying without Err while it is still current — and the run still
 // live — is a crash.
-func (ps *procSuper) serveConn(conn net.Conn, hello time.Duration) {
-	conn.SetReadDeadline(time.Now().Add(hello)) //nolint:errcheck // deadline on a live conn
+func (ps *procSuper) serveConn(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(helloTimeout)) //nolint:errcheck // deadline on a live conn
 	br := bufio.NewReader(conn)
 	first, err := readFrame(br)
 	if err != nil || first.Kind != KindHello {
@@ -207,7 +201,7 @@ func RunProc(ctx context.Context, g *graph.Graph, po ProcOptions) (*sim.Result, 
 				return
 			}
 			connWG.Add(1)
-			go func() { defer connWG.Done(); ps.serveConn(conn, po.helloTimeout()) }()
+			go func() { defer connWG.Done(); ps.serveConn(conn) }()
 		}
 	}()
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,6 +292,34 @@ func TestShardedStuck(t *testing.T) {
 	}
 	if stuck.Undecided == 0 {
 		t.Errorf("stuck error reports zero undecided nodes: %v", err)
+	}
+}
+
+// TestShardedRestartBudget crashes shard 0 at every transport operation:
+// each incarnation dies before finishing round 0, so the supervisor
+// must give up once the restart budget is spent, with a
+// ShardStuckError that names the budget and claims no round budget.
+func TestShardedRestartBudget(t *testing.T) {
+	g := graph.Grid(4, 5)
+	inj := faults.New(1)
+	inj.SetRate(CrashCat(0), 1)
+	ft := NewFaultTransport(NewChanTransport(2), inj)
+	_, stats, err := Run(view.NewTable(), g, countFactory, Options{Shards: 2, Transport: ft})
+	var se *ShardStuckError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want ShardStuckError", err)
+	}
+	if want := fmt.Sprintf("restart budget of %d exhausted", maxRestarts); se.Reason != want {
+		t.Errorf("reason = %q, want %q", se.Reason, want)
+	}
+	if se.Round != 0 {
+		t.Errorf("stuck at round %d, want 0", se.Round)
+	}
+	if strings.Contains(err.Error(), "undecided after") {
+		t.Errorf("restart-budget error claims an exceeded round budget: %v", err)
+	}
+	if stats.Crashes != maxRestarts+1 {
+		t.Errorf("crashes = %d, want %d", stats.Crashes, maxRestarts+1)
 	}
 }
 

@@ -7,29 +7,33 @@
 // decision program after every round (this is the COM(i) subroutine,
 // Algorithm 1, iterated).
 //
-// Three engines are provided and must be observationally identical:
+// The engines below must be observationally identical; the root
+// package exposes each production engine as one election.Realization,
+// and the sharded engine lives in internal/sim/shard.
 //
-//   - the concurrent engine runs one goroutine per node and moves view
-//     messages across buffered channels, one channel per directed edge —
-//     the natural Go realization of a message-passing network;
-//   - the sequential engine performs the same exchange in a deterministic
-//     loop and is the reference the others are pinned against;
+//   - the sequential engine (RunSequential) performs the exchange in a
+//     deterministic per-node loop and is the reference the others are
+//     pinned against; only tests run it;
 //   - the bulk-synchronous class-sharing engine (RunBSP, see bsp.go)
 //     interns one view per view-equivalence class per round and batches
 //     the decide sweep over a worker pool — the engine that carries
-//     end-to-end elections to 100k-node graphs.
+//     end-to-end elections to 100k-node graphs;
+//   - the concurrent engine (RunConcurrent) runs one goroutine per node
+//     and moves view messages across buffered channels, one channel per
+//     directed edge — the natural Go realization of a message-passing
+//     network. Its wire mode serializes every message to a bit string
+//     and decodes it on arrival, demonstrating that only B^i(v)
+//     information ever crosses an edge; it is exponential in the round
+//     number and meant for small-depth fidelity tests;
+//   - the asynchronous engine (RunAsync, async.go) drops the synchrony
+//     assumption itself: nodes run the α-synchronizer over an
+//     event-driven network whose per-message delays are chosen by an
+//     adversarial DelayModel (delay.go). It shares the class-sharing
+//     materializer with RunBSP and must produce identical Outputs,
+//     Rounds and Time under every delay model; only the virtual
+//     schedule differs.
 //
-// A third mode, wire mode, serializes every message to a bit string and
-// decodes it on arrival, demonstrating that only B^i(v) information ever
-// crosses an edge; it is exponential in the round number and meant for
-// small-depth fidelity tests.
-//
-// A fourth engine, RunAsync (async.go), drops the synchrony assumption
-// itself: nodes run the α-synchronizer over an event-driven network
-// whose per-message delays are chosen by an adversarial DelayModel
-// (delay.go). It shares the class-sharing materializer with RunBSP and
-// must produce identical Outputs, Rounds and Time under every delay
-// model; only the virtual schedule differs.
+// Every engine reports an exceeded round budget as a *StuckError.
 package sim
 
 import (
@@ -116,7 +120,7 @@ func RunSequential(tab *view.Table, g *graph.Graph, f Factory, maxRounds int) (*
 			break
 		}
 		if r >= maxRounds {
-			return nil, fmt.Errorf("sim: %d nodes undecided after %d rounds", remaining, maxRounds)
+			return nil, budgetExceeded(maxRounds, remaining)
 		}
 		for v := 0; v < n; v++ {
 			deg := g.Deg(v)
@@ -167,7 +171,7 @@ func RunConcurrent(tab *view.Table, g *graph.Graph, f Factory, maxRounds int, wi
 	type nodeOut struct {
 		output   []int
 		round    int
-		err      error
+		stuck    bool
 		sent     int
 		wireBits int
 	}
@@ -193,7 +197,7 @@ func RunConcurrent(tab *view.Table, g *graph.Graph, f Factory, maxRounds int, wi
 						// All undecided nodes reach this branch in the
 						// same round (rounds are in lockstep), so the
 						// barrier below converges to "all done".
-						results[v].err = fmt.Errorf("sim: node undecided after %d rounds", maxRounds)
+						results[v].stuck = true
 						decided = true
 					} else if out, ok := d.Decide(r, b); ok {
 						results[v].output, results[v].round = out, r
@@ -244,9 +248,10 @@ func RunConcurrent(tab *view.Table, g *graph.Graph, f Factory, maxRounds int, wi
 		return nil, failErr
 	}
 	res := &Result{Outputs: make([][]int, n), Rounds: make([]int, n)}
+	stuck := 0
 	for v, r := range results {
-		if r.err != nil {
-			return nil, r.err
+		if r.stuck {
+			stuck++
 		}
 		res.Outputs[v] = r.output
 		res.Rounds[v] = r.round
@@ -255,6 +260,9 @@ func RunConcurrent(tab *view.Table, g *graph.Graph, f Factory, maxRounds int, wi
 		if r.round > res.Time {
 			res.Time = r.round
 		}
+	}
+	if stuck > 0 {
+		return nil, budgetExceeded(maxRounds, stuck)
 	}
 	return res, nil
 }

@@ -482,3 +482,29 @@ func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 		}
 	}
 }
+
+func TestStablePartitionDirect(t *testing.T) {
+	tab := NewTable()
+	classes, depth := StablePartition(tab, graph.Ring(5))
+	if depth != 0 {
+		t.Errorf("ring partition should stabilize at depth 0, got %d", depth)
+	}
+	for _, c := range classes {
+		if c != 0 {
+			t.Error("ring should be one class")
+		}
+	}
+	g := graph.Lollipop(5, 3)
+	classes, depth = StablePartition(tab, g)
+	distinct := map[int]bool{}
+	for _, c := range classes {
+		distinct[c] = true
+	}
+	if len(distinct) != g.N() {
+		t.Error("feasible graph should be discrete")
+	}
+	phi, _ := ElectionIndex(tab, g)
+	if depth > phi {
+		t.Errorf("stabilization depth %d beyond phi %d", depth, phi)
+	}
+}

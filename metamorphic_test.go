@@ -103,9 +103,9 @@ func assertRelabelEquivariant(t *testing.T, name string, g *Graph, seed int64) {
 
 	engines := map[string]Options{
 		"bsp":           {},
-		"seq":           {Engine: SimSequential},
-		"async-uniform": {Async: true, AsyncSeed: seed},
-		"async-pareto":  {Async: true, AsyncSeed: seed, Delay: &ParetoDelay{}},
+		"seq":           {Realization: sequential{}},
+		"async-uniform": {Realization: Async{Seed: seed}},
+		"async-pareto":  {Realization: Async{Seed: seed, Delay: &ParetoDelay{}}},
 	}
 	for ename, o := range engines {
 		r1, err := s1.RunMinTime(g, o)

@@ -2,7 +2,7 @@ package election
 
 // Differential suite for the crash-tolerant sharded BSP engine at the
 // election level (DESIGN.md §9): on every graph family, an election run
-// with Options.Shards > 1 must be bit-identical to the single-process
+// on the Sharded realization must be bit-identical to the single-process
 // BSP engine — same Leader, Time, Messages, per-node Rounds and
 // Outputs — with a clean transport, under seeded chaos schedules
 // (drops, dups, reorders, delays, crashes), and across kill-restart
@@ -71,7 +71,7 @@ func TestShardedDifferential(t *testing.T) {
 			t.Fatalf("%s/bsp: %v", name, err)
 		}
 		for _, shards := range shardCounts {
-			res, err := s.RunElect(g, enc, Options{Shards: shards})
+			res, err := s.RunElect(g, enc, Options{Realization: Sharded{Shards: shards}})
 			if err != nil {
 				t.Fatalf("%s/shards=%d: %v", name, shards, err)
 			}
@@ -81,7 +81,7 @@ func TestShardedDifferential(t *testing.T) {
 			}
 			for _, seed := range seeds {
 				inj := SeededShardChaos(seed, shards)
-				res, err := s.RunElect(g, enc, Options{Shards: shards, ShardFaults: inj, ShardSeed: seed})
+				res, err := s.RunElect(g, enc, Options{Realization: Sharded{Shards: shards, Faults: inj, Seed: seed}})
 				label := name + "/chaos/" + inj.String()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -111,7 +111,7 @@ func TestShardedKillRestart(t *testing.T) {
 		}
 		inj := NewFaultInjector(11)
 		inj.ArmAfter(ShardCrashCat(0), 1, 1)
-		res, err := s.RunElect(g, enc, Options{Shards: 3, ShardFaults: inj})
+		res, err := s.RunElect(g, enc, Options{Realization: Sharded{Shards: 3, Faults: inj}})
 		if err != nil {
 			t.Fatalf("%s/kill-restart: %v [%s]", name, err, inj)
 		}

@@ -72,7 +72,7 @@ func TestStressLargerNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := s.RunMinTime(g, Options{Concurrent: true})
+	conc, err := s.RunMinTime(g, Options{Realization: Goroutines{}})
 	if err != nil {
 		t.Fatal(err)
 	}
