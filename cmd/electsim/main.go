@@ -50,7 +50,7 @@
 // the run reports, differs.
 //
 // -shards=N runs the synchronous rounds on the crash-tolerant sharded
-// engine (N contiguous node ranges exchanging boundary class ids);
+// engine (N contiguous node ranges exchanging boundary view ids);
 // -chaos=<seed> additionally injects a replayable fault schedule —
 // drops, dups, reorders, delays and shard crashes — on the boundary
 // transport. The election outcome is bit-identical either way; the run
@@ -139,8 +139,11 @@ func main() {
 				fmt.Printf("peak heap: %.1f MB\n", float64(peak)/(1<<20))
 			}()
 		}
+		given := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 		ef := engineFlags{workers: *workers, concurrent: *concurrent, wire: *wire, async: *async,
-			delay: *delay, shards: *shards, seed: *seed, chaos: *chaos, listen: *listen}
+			delay: *delay, shards: *shards, seed: *seed, chaos: *chaos, listen: *listen,
+			index: *algo == "index", given: given}
 		return run(*graphKind, *load, *save, *algo, *peersList, *sharddBin, *network, *n, *x, *seed, ef, *timeout)
 	}()
 	os.Exit(code)
@@ -194,12 +197,29 @@ type engineFlags struct {
 	shards                  int
 	seed, chaos             int64
 	listen                  string
+	index                   bool            // -algo index: φ only, no election
+	given                   map[string]bool // names of the flags set on the command line
 }
+
+// realizationFlags are the flags only an election's realization reads.
+var realizationFlags = []string{"workers", "concurrent", "wire", "async", "delay", "shards", "chaos", "listen", "peers", "shardd", "network"}
 
 // realizationOf maps the engine flags to the one election.Realization
 // they name. It rejects flags that name two realizations and flags the
 // chosen realization would not read. The delay models are built for g.
 func realizationOf(g *election.Graph, f engineFlags) (election.Realization, error) {
+	if f.index {
+		for _, name := range realizationFlags {
+			if f.given[name] {
+				return nil, fmt.Errorf("-algo index runs no election; it does not read -%s", name)
+			}
+		}
+	}
+	for _, name := range []string{"peers", "shardd", "network"} {
+		if f.given[name] && f.listen == "" {
+			return nil, fmt.Errorf("-%s configures the worker processes of -listen; it needs -listen", name)
+		}
+	}
 	if f.shards != 0 && f.shards < 2 {
 		return nil, fmt.Errorf("-shards %d: a sharded run needs at least 2 shards", f.shards)
 	}

@@ -6,6 +6,15 @@ import (
 	election "repro"
 )
 
+// given returns the set of flag names a command line spelled.
+func given(names ...string) map[string]bool {
+	set := map[string]bool{}
+	for _, name := range names {
+		set[name] = true
+	}
+	return set
+}
+
 // TestRealizationOf pins the flag → Realization mapping: every flag
 // combination that names two realizations, or sets a knob the chosen
 // one does not read, is an error; every valid one names exactly the
@@ -33,6 +42,10 @@ func TestRealizationOf(t *testing.T) {
 		{"unknown delay", engineFlags{async: true, delay: "nope"}, nil},
 		{"delay alone", engineFlags{delay: "pareto"}, nil},
 		{"delay+shards", engineFlags{delay: "slowcut", shards: 2}, nil},
+		{"network+peers", engineFlags{given: given("network", "peers")}, nil},
+		{"shards+shardd", engineFlags{shards: 2, given: given("shards", "shardd")}, nil},
+		{"index+shards", engineFlags{index: true, shards: 3, given: given("shards")}, nil},
+		{"index+delay", engineFlags{index: true, given: given("delay")}, nil},
 
 		{"default", engineFlags{}, func(r election.Realization) bool {
 			return r == election.BSP{}
@@ -62,6 +75,14 @@ func TestRealizationOf(t *testing.T) {
 		{"shards+listen", engineFlags{shards: 2, listen: "127.0.0.1:0"}, func(r election.Realization) bool {
 			sh, ok := r.(election.Sharded)
 			return ok && sh.Shards == 2
+		}},
+		{"shards+listen+network+peers", engineFlags{shards: 2, listen: "ctl.sock",
+			given: given("shards", "listen", "network", "peers")}, func(r election.Realization) bool {
+			sh, ok := r.(election.Sharded)
+			return ok && sh.Shards == 2
+		}},
+		{"index", engineFlags{index: true, given: given("graph", "n", "seed")}, func(r election.Realization) bool {
+			return r == election.BSP{}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

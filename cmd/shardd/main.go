@@ -1,7 +1,7 @@
 // Command shardd is one worker process of the multi-process sharded
 // BSP deployment (internal/sim/shard, DESIGN.md §12): it owns one
 // contiguous node range of a shared graph, runs Algorithm Elect's
-// deciders over it, exchanges boundary class ids and view bodies with
+// deciders over it, exchanges boundary view ids and view bodies with
 // its peer workers over real sockets, journals to disk, and answers to
 // a supervisor (electsim -listen, or shard.RunProc embedded in a test)
 // over a persistent control connection.

@@ -53,17 +53,20 @@ type StuckNode struct {
 
 // StuckError reports a run that could not complete: either the round
 // budget was exceeded (a node needed more than MaxRounds rounds; every
-// engine reports this failure with this type) or, on the asynchronous
+// engine reports this failure with this type), or, on the asynchronous
 // engine, the network quiesced (the event queue drained with nodes
 // still undecided — the signature of an adversary that drops messages,
-// e.g. a severed slow cut). It carries the diagnostics the service and
-// the tests branch on: how many nodes are stuck and the round window
-// they occupy; the asynchronous engine adds a sample of them and the
-// pending-event count at failure. The synchronous engines fail in
-// lockstep, so their window is the budget round itself.
+// e.g. a severed slow cut), or the run stalled short of its budget (the
+// sharded engine's timed-out exchanges and exhausted restart budget,
+// which wrap this type with MaxRounds left zero). It carries the
+// diagnostics the service and the tests branch on: how many nodes are
+// stuck and the round window they occupy; the asynchronous engine adds
+// a sample of them and the pending-event count at failure. The
+// synchronous engines fail in lockstep, so their window is the budget
+// round itself.
 type StuckError struct {
-	Quiesced  bool        // event queue drained; otherwise the budget tripped
-	MaxRounds int         // the round budget, when !Quiesced
+	Quiesced  bool        // event queue drained
+	MaxRounds int         // the round budget, when it tripped; else 0
 	Undecided int         // nodes still undecided
 	MinRound  int         // slowest undecided node's logical round
 	MaxRound  int         // fastest undecided node's logical round
@@ -72,10 +75,15 @@ type StuckError struct {
 }
 
 func (e *StuckError) Error() string {
-	msg := fmt.Sprintf("sim: round budget of %d exceeded: %d nodes undecided after %d rounds",
-		e.MaxRounds, e.Undecided, e.MaxRounds)
-	if e.Quiesced {
+	var msg string
+	switch {
+	case e.Quiesced:
 		msg = fmt.Sprintf("sim: network quiesced: %d nodes undecided", e.Undecided)
+	case e.MaxRounds > 0:
+		msg = fmt.Sprintf("sim: round budget of %d exceeded: %d nodes undecided after %d rounds",
+			e.MaxRounds, e.Undecided, e.MaxRounds)
+	default:
+		msg = fmt.Sprintf("sim: stalled at round %d: %d nodes undecided", e.MaxRound, e.Undecided)
 	}
 	if len(e.Sample) == 0 {
 		return msg

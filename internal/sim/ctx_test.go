@@ -42,6 +42,42 @@ func TestStuckErrorTyped(t *testing.T) {
 	}
 }
 
+// TestStuckErrorText pins which failure the text names. An asynchronous
+// budget trip reads as one even when a decided node crossed the budget
+// while every undecided node still lagged behind it (MaxRound <
+// MaxRounds), and a stall short of any budget (MaxRounds zero, as the
+// sharded engine reports it) never claims an exceeded budget.
+func TestStuckErrorText(t *testing.T) {
+	g := graph.Path(12)
+	f := func(simID, deg int) Decider {
+		if simID < 6 {
+			return &stopAt{round: 0, out: []int{}}
+		}
+		return never{}
+	}
+	lagging := 0
+	for seed := int64(0); seed < 200; seed++ {
+		_, err := RunAsync(view.NewTable(), g, f, 5, seed, nil)
+		var se *StuckError
+		if !errors.As(err, &se) || se.Quiesced {
+			t.Fatalf("seed %d: err = %v, want a budget StuckError", seed, err)
+		}
+		if se.MaxRound < se.MaxRounds {
+			lagging++
+		}
+		if !strings.HasPrefix(err.Error(), "sim: round budget of 5 exceeded: 6 nodes undecided after 5 rounds;") {
+			t.Fatalf("seed %d: budget error reads %q", seed, err)
+		}
+	}
+	if lagging == 0 {
+		t.Error("no seed tripped the budget with every undecided node behind it")
+	}
+	stall := &StuckError{Undecided: 20}
+	if got, want := stall.Error(), "sim: stalled at round 0: 20 nodes undecided"; got != want {
+		t.Errorf("stall error = %q, want %q", got, want)
+	}
+}
+
 // Canceled contexts must abort both engines with an error wrapping
 // ctx.Err(), at a round checkpoint — not run to the budget.
 func TestEnginesHonorCancellation(t *testing.T) {

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/part"
 	"repro/internal/sim"
 	"repro/internal/view"
 )
@@ -19,8 +19,8 @@ import (
 // Options configures a sharded run. The zero value of every field has a
 // sensible default; only Shards is required (> 1).
 type Options struct {
-	// Shards is the number of contiguous node ranges (clamped to n).
-	// Shards <= 1 delegates to sim.RunBSPCtx.
+	// Shards is the number of contiguous node ranges (clamped to n);
+	// a run needs at least 2.
 	Shards int
 	// Transport is the boundary data plane (default: an in-process
 	// ChanTransport; wrap it in FaultTransport for chaos, or use
@@ -105,7 +105,8 @@ func (s *Stats) MeanRecovery() time.Duration {
 // ShardStuckError reports that the fault schedule made progress
 // impossible: a shard's boundary exchange timed out, or the restart
 // budget ran out. It extends sim.StuckError — errors.As reaches the
-// embedded *sim.StuckError through Unwrap.
+// embedded *sim.StuckError through Unwrap; that error is a stall at
+// Round, with MaxRounds zero because no round budget tripped.
 type ShardStuckError struct {
 	Shard  int
 	Round  int
@@ -113,9 +114,7 @@ type ShardStuckError struct {
 	Stuck  *sim.StuckError
 }
 
-// Error names the shard, round and reason with the undecided count; it
-// does not append the embedded StuckError's text, which would claim a
-// round budget that was never exceeded.
+// Error names the shard, round and reason with the undecided count.
 func (e *ShardStuckError) Error() string {
 	return fmt.Sprintf("shard: shard %d stuck at round %d (%s) with %d nodes undecided",
 		e.Shard, e.Round, e.Reason, e.Stuck.Undecided)
@@ -283,7 +282,7 @@ func (c *coord) globalStuck(shard, round int, reason string) error {
 		undecided += rem
 	}
 	return &ShardStuckError{Shard: shard, Round: round, Reason: reason,
-		Stuck: &sim.StuckError{MaxRounds: c.maxRounds, Undecided: undecided, MinRound: round, MaxRound: round}}
+		Stuck: &sim.StuckError{Undecided: undecided, MinRound: round, MaxRound: round}}
 }
 
 // handle processes one report. done means the run completed cleanly
@@ -375,17 +374,9 @@ var errHalt = errors.New("shard: halted")
 // at the next control-plane touch once ctx is done.
 func RunCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f sim.Factory, opt Options) (*sim.Result, *Stats, error) {
 	n := g.N()
-	shards := opt.Shards
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		res, err := sim.RunBSPCtx(ctx, tab, g, f, opt.maxRounds(g), 0)
-		var stats *Stats
-		if res != nil {
-			stats = &Stats{Shards: 1, Rounds: res.Time}
-		}
-		return res, stats, err
+	shards := min(opt.Shards, n)
+	if shards < 2 {
+		return nil, nil, fmt.Errorf("shard: a sharded run needs at least 2 shards, got %d over %d nodes", opt.Shards, n)
 	}
 
 	e := &engine{topo: newTopology(g, shards), tab: tab, f: f, opt: opt, tr: opt.Transport, jr: opt.Journal,
@@ -487,8 +478,8 @@ func RunCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f sim.Factory,
 	}
 }
 
-// worker is one shard incarnation: the range's refiner, deciders, class
-// views and the boundary-protocol state. A fresh one is built per
+// worker is one shard incarnation: the range's deciders, node views
+// and the boundary-protocol state. A fresh one is built per
 // restart; everything durable lives in the journal and everything
 // shared in the topology — the supervisor plumbing (emit, ctrlRecv,
 // halted) is injected, so the same worker runs as a goroutine of the
@@ -511,23 +502,27 @@ type worker struct {
 	halted   func() bool            // engine-wide kill switch
 	retries  *atomic.Int64
 
-	rr        *part.RangeRefiner
 	deciders  []sim.Decider
 	done      []bool
 	remaining int
 
-	views     []*view.View
-	prevViews []*view.View
-	prevClass []int32
-	flat      []view.Edge
-	off       []int32
-	ck, gk    []int32
-	cpClass   []int32
+	// views[i] is local node lo+i's interned view at the current depth;
+	// views[size+s] is ghost slot s's, set by resolveGhosts each round.
+	views []*view.View
+	// The range's static edge matrix in local-port order: node i's row
+	// is flat[off[i]:off[i+1]] with its remote ports fixed at init, and
+	// step reads each half-edge's child from views[src[e]].
+	flat []view.Edge
+	off  []int32
+	src  []int32
+	ids  []uint64 // checkpoint buffer: views[i].ID() per local node
 
-	ghostIDs   []uint64
-	ghostViews []*view.View
-	ghostSeg   map[int][2]int // peer → (first slot, count) of its ghosts
-	ghostPeer  []int          // ghost slot → owning peer
+	// Ghost slot s holds global node ghosts[s], owned by ghostPeer[s];
+	// the slots of peer p are that peer's send list to this shard.
+	ghosts    []int32
+	ghostIDs  []uint64
+	ghostSeg  map[int][2]int // peer → (first slot, count) of its ghosts
+	ghostPeer []int
 
 	// pending[(round,peer)] marks boundary payloads already journaled,
 	// so exchanges consume journal-first and duplicates only re-ack.
@@ -593,37 +588,46 @@ func (e *engine) runWorker(s, incarnation int) {
 
 func (w *worker) init() {
 	g := w.topo.g
-	w.rr = part.NewRangeRefiner(g, w.lo, w.lo+w.size)
 	w.deciders = make([]sim.Decider, w.size)
 	for i := 0; i < w.size; i++ {
 		w.deciders[i] = w.f(w.lo+i, g.Deg(w.lo+i))
 	}
 	w.done = make([]bool, w.size)
 	w.remaining = w.size
-	w.views = make([]*view.View, w.size)
-	w.prevViews = make([]*view.View, w.size)
-	w.prevClass = make([]int32, w.size)
-	w.off = make([]int32, w.size+1)
-	flatCap := 0
-	for i := 0; i < w.size; i++ {
-		flatCap += g.Deg(w.lo + i)
-	}
-	w.flat = make([]view.Edge, 0, flatCap)
-	ghosts := w.rr.Ghosts()
-	w.ghostIDs = make([]uint64, len(ghosts))
-	w.ghostViews = make([]*view.View, len(ghosts))
-	w.ck = make([]int32, w.size)
-	w.gk = make([]int32, len(ghosts))
+
+	// Ghost slots: per peer in ascending order, the ascending list that
+	// peer sends here, so slots ascend by global id.
 	w.ghostSeg = map[int][2]int{}
-	w.ghostPeer = make([]int, len(ghosts))
 	for _, p := range w.topo.peers[w.s] {
-		first := sort.Search(len(ghosts), func(i int) bool { return int(ghosts[i]) >= w.topo.ranges[p][0] })
-		last := sort.Search(len(ghosts), func(i int) bool { return int(ghosts[i]) >= w.topo.ranges[p][1] })
-		w.ghostSeg[p] = [2]int{first, last - first}
-		for i := first; i < last; i++ {
-			w.ghostPeer[i] = p
+		list := w.topo.sendList[p][w.s]
+		w.ghostSeg[p] = [2]int{len(w.ghosts), len(list)}
+		w.ghosts = append(w.ghosts, list...)
+		for range list {
+			w.ghostPeer = append(w.ghostPeer, p)
 		}
 	}
+	w.ghostIDs = make([]uint64, len(w.ghosts))
+
+	w.off = make([]int32, w.size+1)
+	for i := 0; i < w.size; i++ {
+		w.off[i+1] = w.off[i] + int32(g.Deg(w.lo+i))
+	}
+	w.flat = make([]view.Edge, w.off[w.size])
+	w.src = make([]int32, w.off[w.size])
+	for i := 0; i < w.size; i++ {
+		for j := range g.Deg(w.lo + i) {
+			h := g.At(w.lo+i, j)
+			e := w.off[i] + int32(j)
+			w.flat[e].RemotePort = h.RemotePort
+			if u := h.To - w.lo; u >= 0 && u < w.size {
+				w.src[e] = int32(u)
+			} else {
+				slot, _ := slices.BinarySearch(w.ghosts, int32(h.To))
+				w.src[e] = int32(w.size + slot)
+			}
+		}
+	}
+
 	w.pending = map[[2]int][]uint64{}
 	if w.index == nil {
 		w.store = newViewStore()
@@ -631,13 +635,11 @@ func (w *worker) init() {
 	}
 	w.rng = rand.New(rand.NewSource(w.opt.Seed ^ int64(w.s)*0x9E3779B9 ^ int64(w.inc)<<32))
 
-	// Depth-0 class views: the interned leaves of the class degrees.
-	k := w.rr.NumClasses()
-	degs := make([]int, k)
-	for c := 0; c < k; c++ {
-		degs[c] = g.Deg(w.rr.Representative(c))
+	// Depth 0: the interned leaf of each node's degree.
+	w.views = make([]*view.View, w.size+len(w.ghosts))
+	for i := 0; i < w.size; i++ {
+		w.views[i] = w.tab.Leaf(g.Deg(w.lo + i))
 	}
-	w.tab.LeafBatch(degs, w.views[:k])
 }
 
 func (w *worker) shipOf(p int) map[uint64]bool {
@@ -738,7 +740,7 @@ func (w *worker) sweep(r int) []Decision {
 		if w.done[i] {
 			continue
 		}
-		out, ok := w.deciders[i].Decide(r, w.views[w.rr.ClassOf(i)])
+		out, ok := w.deciders[i].Decide(r, w.views[i])
 		if ok {
 			w.done[i] = true
 			w.remaining--
@@ -752,8 +754,8 @@ func (w *worker) sweep(r int) []Decision {
 // the deciders are not deterministic (or the journal is corrupt), and
 // silently proceeding could publish different bits than the crashed
 // incarnation already reported. The view ids compared are table-local:
-// a restarted process interns views in a deterministic order (leaf
-// batch, ghost slots, class batches — never on a transport or journal
+// a restarted process interns views in a deterministic order (node
+// leaves, ghost slots, node batches — never on a transport or journal
 // path), so a faithful replay reproduces them bit-for-bit even in a
 // fresh table.
 func (w *worker) validate(rec Record, decs []Decision) error {
@@ -761,28 +763,25 @@ func (w *worker) validate(rec Record, decs []Decision) error {
 		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d remaining / %d decisions, checkpoint has %d / %d",
 			w.s, rec.Round, w.remaining, len(decs), rec.Remaining, len(rec.Decided))
 	}
-	k := w.rr.NumClasses()
-	if len(rec.ViewIDs) != k {
-		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d classes, checkpoint has %d",
-			w.s, rec.Round, k, len(rec.ViewIDs))
+	if len(rec.ViewIDs) != w.size {
+		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d nodes, checkpoint has %d view ids",
+			w.s, rec.Round, w.size, len(rec.ViewIDs))
 	}
-	for c := 0; c < k; c++ {
-		if w.views[c].ID() != rec.ViewIDs[c] {
-			return fmt.Errorf("shard: shard %d replay diverged at round %d: class %d view id %d, checkpoint has %d",
-				w.s, rec.Round, c, w.views[c].ID(), rec.ViewIDs[c])
+	for i, id := range rec.ViewIDs {
+		if got := w.views[i].ID(); got != id {
+			return fmt.Errorf("shard: shard %d replay diverged at round %d: node %d view id %d, checkpoint has %d",
+				w.s, rec.Round, w.lo+i, got, id)
 		}
 	}
 	return nil
 }
 
 func (w *worker) checkpoint(r int, decs []Decision) error {
-	k := w.rr.NumClasses()
-	ids := make([]uint64, k)
-	for c := 0; c < k; c++ {
-		ids[c] = w.views[c].ID()
+	w.ids = w.ids[:0]
+	for _, v := range w.views[:w.size] {
+		w.ids = append(w.ids, v.ID())
 	}
-	w.cpClass = w.rr.CopyClasses(w.cpClass)
-	if err := w.jr.Checkpoint(w.s, Record{Round: r, Class: w.cpClass, ViewIDs: ids, Decided: decs, Remaining: w.remaining}); err != nil {
+	if err := w.jr.Checkpoint(w.s, Record{Round: r, ViewIDs: w.ids, Decided: decs, Remaining: w.remaining}); err != nil {
 		return &JournalError{Shard: w.s, Op: "checkpoint", Err: err}
 	}
 	return nil
@@ -948,7 +947,7 @@ func (w *worker) exchange(r int, live bool) error {
 			payload := make([]uint64, len(list))
 			roots := make([]*view.View, len(list))
 			for i, id := range list {
-				v := w.views[w.rr.ClassOf(int(id)-w.lo)]
+				v := w.views[int(id)-w.lo]
 				roots[i] = v
 				payload[i] = v.ID()
 			}
@@ -1069,8 +1068,7 @@ func (w *worker) exchange(r int, live bool) error {
 }
 
 func (w *worker) stuck(r, pendingLegs int) error {
-	stuck := &sim.StuckError{MaxRounds: w.opt.maxRounds(w.topo.g), Undecided: w.remaining,
-		MinRound: r, MaxRound: r, Pending: pendingLegs}
+	stuck := &sim.StuckError{Undecided: w.remaining, MinRound: r, MaxRound: r, Pending: pendingLegs}
 	for i := 0; i < w.size && len(stuck.Sample) < 4; i++ {
 		if !w.done[i] {
 			stuck.Sample = append(stuck.Sample, sim.StuckNode{Node: w.lo + i, Round: r})
@@ -1080,59 +1078,22 @@ func (w *worker) stuck(r, pendingLegs int) error {
 		Reason: fmt.Sprintf("boundary exchange timed out after %v", w.opt.roundTimeout()), Stuck: stuck}
 }
 
-// step advances the shard one depth: canonical keys from the interned
-// view ids (local classes first, then ghosts, by first occurrence),
-// range refinement, then one interned view per new class with children
-// read through the previous depth's classes and ghost views. Ghost ids
-// resolve here (resolveGhosts) and nowhere else, so the interning
-// stream of a worker is deterministic and survives process restarts
-// (see views.go).
+// step advances the shard one depth. By Proposition 2.1 a node's
+// depth-(l+1) view is its degree plus, port by port, the remote port
+// and the neighbour's depth-l view, which is exactly the row Table.Make
+// hash-conses; so one Make per local node, with children read from the
+// depth-l node and ghost views, yields every node's next view, and
+// equal views are one pointer without any refinement. Ghost ids resolve
+// here (resolveGhosts) and nowhere else, so the interning stream of a
+// worker is deterministic and survives process restarts (see views.go).
 func (w *worker) step() error {
 	if err := w.resolveGhosts(); err != nil {
 		return err
 	}
-	k := w.rr.NumClasses()
-	compact := map[uint64]int32{}
-	assign := func(id uint64) int32 {
-		key, ok := compact[id]
-		if !ok {
-			key = int32(len(compact))
-			compact[id] = key
-		}
-		return key
+	for e, u := range w.src {
+		w.flat[e].Child = w.views[u]
 	}
-	for c := 0; c < k; c++ {
-		w.ck[c] = assign(w.views[c].ID())
-	}
-	for s, gv := range w.ghostViews {
-		// Compaction keys must be local ids: sender-local ids from two
-		// different peers may collide (or differ while denoting equal
-		// views) across tables.
-		w.gk[s] = assign(gv.ID())
-	}
-
-	w.prevClass = w.rr.CopyClasses(w.prevClass)
-	w.prevViews, w.views = w.views, w.prevViews
-	w.rr.Step(w.ck[:k], w.gk)
-
-	k2 := w.rr.NumClasses()
-	w.flat = w.flat[:0]
-	for c := 0; c < k2; c++ {
-		i := w.rr.Representative(c) - w.lo
-		d := w.topo.g.Deg(w.lo + i)
-		for j := 0; j < d; j++ {
-			nbr, rp := w.rr.PortEntry(i, j)
-			var child *view.View
-			if int(nbr) < w.size {
-				child = w.prevViews[w.prevClass[nbr]]
-			} else {
-				child = w.ghostViews[int(nbr)-w.size]
-			}
-			w.flat = append(w.flat, view.Edge{RemotePort: int(rp), Child: child})
-		}
-		w.off[c+1] = int32(len(w.flat))
-	}
-	w.tab.MakeBatch(w.flat, w.off[:k2+1], w.views[:k2])
+	w.tab.MakeBatch(w.flat, w.off, w.views[:w.size])
 	return nil
 }
 
@@ -1140,19 +1101,19 @@ func (w *worker) step() error {
 // the shared index, or by re-interning the shipped bodies into the
 // worker's own table in ghost-slot order.
 func (w *worker) resolveGhosts() error {
-	ghosts := w.rr.Ghosts()
+	ghostViews := w.views[w.size:]
 	if w.index != nil {
-		if s := w.index.resolve(w.ghostIDs, w.ghostViews); s >= 0 {
-			return &UnknownViewError{Shard: w.s, Peer: w.ghostPeer[s], Node: int(ghosts[s]), ID: w.ghostIDs[s]}
+		if s := w.index.resolve(w.ghostIDs, ghostViews); s >= 0 {
+			return &UnknownViewError{Shard: w.s, Peer: w.ghostPeer[s], Node: int(w.ghosts[s]), ID: w.ghostIDs[s]}
 		}
 		return nil
 	}
-	for s := range ghosts {
-		gv, err := w.store.resolve(w.tab, w.ghostPeer[s], w.ghostIDs[s])
+	for s, id := range w.ghostIDs {
+		gv, err := w.store.resolve(w.tab, w.ghostPeer[s], id)
 		if err != nil {
-			return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, ghosts[s], err)
+			return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, w.ghosts[s], err)
 		}
-		w.ghostViews[s] = gv
+		ghostViews[s] = gv
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ type fjShard struct {
 	viewSeq map[int]int // peer → next vw- ordinal
 }
 
-var fjMagic = [3]byte{'S', 'J', '1'}
+var fjMagic = [3]byte{'S', 'J', '2'}
 
 const (
 	fjKindCheckpoint = 'C'
@@ -191,10 +191,6 @@ func (j *FileJournal) Checkpoint(shard int, rec Record) error {
 	buf := fjHeader(fjKindCheckpoint)
 	buf = binary.AppendUvarint(buf, uint64(rec.Round))
 	buf = binary.AppendUvarint(buf, uint64(rec.Remaining))
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Class)))
-	for _, c := range rec.Class {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(rec.ViewIDs)))
 	for _, id := range rec.ViewIDs {
 		buf = binary.AppendUvarint(buf, id)
@@ -215,14 +211,7 @@ func decodeCheckpoint(r *wireReader) (Record, error) {
 	var rec Record
 	rec.Round = r.num("round")
 	rec.Remaining = r.num("remaining")
-	n := r.count("class count")
-	if r.err == nil && n > 0 {
-		rec.Class = make([]int32, n)
-		for i := range rec.Class {
-			rec.Class[i] = int32(r.count("class"))
-		}
-	}
-	n = r.count("view id count")
+	n := r.count("view id count")
 	if r.err == nil && n > 0 {
 		rec.ViewIDs = make([]uint64, n)
 		for i := range rec.ViewIDs {

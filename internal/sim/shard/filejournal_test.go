@@ -17,8 +17,7 @@ import (
 func sampleRecord(round int) Record {
 	return Record{
 		Round:     round,
-		Class:     []int32{0, 1, 1, 2},
-		ViewIDs:   []uint64{10, 11, 12},
+		ViewIDs:   []uint64{10, 11, 11, 12},
 		Decided:   []Decision{{Node: 3, Round: round, Output: []int{1, -4, 0}}},
 		Remaining: 7 - round,
 	}

@@ -16,17 +16,16 @@ type Decision struct {
 }
 
 // Record is one shard's checkpoint for one round, written after the
-// round's decide sweep and before the round is reported: the per-node
-// class ids at depth == Round, the interned view id of each class, the
-// decisions the sweep produced, and the frontier counter (local nodes
-// still undecided). A restarted shard replays its records from round 0
+// round's decide sweep and before the round is reported: the interned
+// view id of every local node at depth == Round, the decisions the
+// sweep produced, and the frontier counter (local nodes still
+// undecided). A restarted shard replays its records from round 0
 // — deciders may be stateful, so recovery re-executes the sweeps rather
 // than resuming from a snapshot — and uses the checkpoints to validate
 // that the replay reproduced the crashed incarnation exactly.
 type Record struct {
 	Round     int
-	Class     []int32  // class of local node i at depth Round
-	ViewIDs   []uint64 // interned view id of class c at depth Round
+	ViewIDs   []uint64 // interned view id of local node i at depth Round
 	Decided   []Decision
 	Remaining int // local nodes still undecided after the sweep
 }
@@ -51,12 +50,13 @@ type Restored struct {
 }
 
 // Journal is a shard's crash-surviving store. Implementations must be
-// safe for concurrent use by different shards; Checkpoint is idempotent
-// per (shard, round), Ghosts per (shard, round, peer), and Views per
-// view id. Every write reports failure — a journal that swallows an
-// I/O error would let the engine ack data it cannot replay, breaking
-// the recovery contract — and the engine surfaces failures as a
-// *JournalError.
+// safe for concurrent use by different shards and must not retain the
+// slices they are handed (the engine reuses its checkpoint buffer);
+// Checkpoint is idempotent per (shard, round), Ghosts per (shard,
+// round, peer), and Views per view id. Every write reports failure — a
+// journal that swallows an I/O error would let the engine ack data it
+// cannot replay, breaking the recovery contract — and the engine
+// surfaces failures as a *JournalError.
 type Journal interface {
 	Checkpoint(shard int, rec Record) error
 	Ghosts(shard int, gr GhostRecord) error
@@ -116,7 +116,6 @@ func NewMemJournal() *MemJournal {
 func (j *MemJournal) Checkpoint(shard int, rec Record) error {
 	cp := Record{
 		Round:     rec.Round,
-		Class:     append([]int32(nil), rec.Class...),
 		ViewIDs:   append([]uint64(nil), rec.ViewIDs...),
 		Remaining: rec.Remaining,
 	}

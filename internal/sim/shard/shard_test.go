@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,6 +245,55 @@ func TestShardedKillRestart(t *testing.T) {
 	}
 }
 
+// replayJournal is a MemJournal that kills shard 0 when it first
+// checkpoints round 2, so the restarted incarnation replays rounds 0
+// and 1 against their checkpoints. With tamper set, node `tamper`'s
+// view id in shard 0's round-1 checkpoint is altered before it is
+// stored.
+type replayJournal struct {
+	*MemJournal
+	tamper  int // local node index to alter, or -1
+	crashed atomic.Bool
+}
+
+func (j *replayJournal) Checkpoint(shard int, rec Record) error {
+	if shard == 0 && rec.Round == 1 && j.tamper >= 0 {
+		rec.ViewIDs = append([]uint64(nil), rec.ViewIDs...)
+		rec.ViewIDs[j.tamper]++
+	}
+	if shard == 0 && rec.Round == 2 && j.crashed.CompareAndSwap(false, true) {
+		return &CrashError{Shard: 0}
+	}
+	return j.MemJournal.Checkpoint(shard, rec)
+}
+
+// TestShardedReplayValidation pins checkpoint validation: a replay that
+// reproduces every checkpoint recovers bit-identically, and a round-1
+// checkpoint with one node's view id altered makes the restarted shard
+// fail with a replay divergence naming that node and round.
+func TestShardedReplayValidation(t *testing.T) {
+	g := graph.Grid(4, 5)
+	want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := &replayJournal{MemJournal: NewMemJournal(), tamper: -1}
+	got, stats, err := Run(view.NewTable(), g, countFactory, Options{Shards: 2, Journal: jr})
+	if err != nil {
+		t.Fatalf("faithful replay: %v", err)
+	}
+	requireSame(t, "faithful replay", want, got)
+	if stats.Crashes != 1 || stats.Recoveries != 1 {
+		t.Errorf("faithful replay: %d crashes, %d recoveries, want 1 and 1", stats.Crashes, stats.Recoveries)
+	}
+
+	jr = &replayJournal{MemJournal: NewMemJournal(), tamper: 3}
+	_, _, err = Run(view.NewTable(), g, countFactory, Options{Shards: 2, Journal: jr})
+	if err == nil || !strings.Contains(err.Error(), "shard 0 replay diverged at round 1: node 3 view id") {
+		t.Fatalf("tampered checkpoint: err = %v, want a round-1 replay divergence at node 3", err)
+	}
+}
+
 // TestShardedRepeatedCrashes kills the same shard on every restart
 // until the budget runs dry, then checks the run still converges.
 func TestShardedRepeatedCrashes(t *testing.T) {
@@ -318,6 +368,13 @@ func TestShardedRestartBudget(t *testing.T) {
 	if strings.Contains(err.Error(), "undecided after") {
 		t.Errorf("restart-budget error claims an exceeded round budget: %v", err)
 	}
+	var stuck *sim.StuckError
+	if !errors.As(err, &stuck) {
+		t.Fatalf("ShardStuckError does not unwrap to sim.StuckError: %v", err)
+	}
+	if got, want := stuck.Error(), "sim: stalled at round 0: 20 nodes undecided"; got != want {
+		t.Errorf("inner error = %q, want %q", got, want)
+	}
 	if stats.Crashes != maxRestarts+1 {
 		t.Errorf("crashes = %d, want %d", stats.Crashes, maxRestarts+1)
 	}
@@ -335,21 +392,18 @@ func TestShardedMaxRounds(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardDelegates checks the Shards<=1 path matches
-// RunBSP exactly (it is RunBSP).
-func TestShardedSingleShardDelegates(t *testing.T) {
-	g := graph.Grid(4, 4)
-	want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := Run(view.NewTable(), g, countFactory, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSame(t, "single", want, got)
-	if stats.Shards != 1 {
-		t.Errorf("stats.Shards = %d, want 1", stats.Shards)
+// TestShardedRejectsSingleShard checks that a run over fewer than 2
+// shards, asked for or left after clamping the count to n, is an error
+// rather than a silent single-process run.
+func TestShardedRejectsSingleShard(t *testing.T) {
+	for _, tc := range []struct {
+		g      *graph.Graph
+		shards int
+	}{{graph.Grid(4, 4), 0}, {graph.Grid(4, 4), 1}, {graph.NewBuilder(1).MustFinalize(), 3}} {
+		res, stats, err := Run(view.NewTable(), tc.g, countFactory, Options{Shards: tc.shards})
+		if err == nil || res != nil || stats != nil {
+			t.Errorf("Shards %d over n=%d: result %v, stats %v, err %v; want only an error", tc.shards, tc.g.N(), res, stats, err)
+		}
 	}
 }
 

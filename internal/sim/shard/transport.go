@@ -1,12 +1,12 @@
-// Package shard runs the bulk-synchronous class-sharing engine across
-// shards that each own a contiguous node range of the graph's CSR and
-// exchange only boundary class identities per round — the partition,
-// not the views, crosses the wire. In-process shards (RunCtx) intern
-// into one view.Table, so an interned id already is the class identity
-// and nothing but ids is sent or journaled; worker processes
-// (RunWorker) each own a table, so each distinct class view's *body*
-// also crosses to a peer, at most a handful of times, on first
-// reference (see views.go). The data plane (Transport) is allowed to be
+// Package shard runs the bulk-synchronous engine across shards that
+// each own a contiguous node range of the graph's CSR, intern one view
+// per local node per round, and exchange only the interned view ids of
+// their boundary nodes — ids, not views, cross the wire. In-process
+// shards (RunCtx) intern into one view.Table, so an interned id already
+// is the view's identity and nothing but ids is sent or journaled;
+// worker processes (RunWorker) each own a table, so each distinct
+// boundary view's *body* also crosses to a peer, at most a handful of
+// times, on first reference (see views.go). The data plane (Transport) is allowed to be
 // faulty: messages may be
 // dropped, duplicated, reordered or delayed, and whole shards may
 // crash; a sequence/ack/retry protocol plus a per-shard journal make
@@ -28,7 +28,7 @@ import (
 type Kind uint8
 
 const (
-	// KindData carries one round's boundary class ids from a shard to a
+	// KindData carries one round's boundary view ids from a shard to a
 	// peer: Payload[i] is the interned view id of the i-th node of the
 	// deterministic ascending boundary list both endpoints compute from
 	// the graph (the sender's nodes adjacent to the receiver's range).
@@ -42,7 +42,7 @@ const (
 	// KindView ships view bodies between worker processes (in-process
 	// shards share one table and never send it): the transitive
 	// closure, minus everything already acked by this peer, of the
-	// class views whose ids appear in the round's KindData payload.
+	// views whose ids appear in the round's KindData payload.
 	// Bodies are journaled by the receiver before the ack, so acked
 	// views survive a crash and a sender may drop them from its resend
 	// set for good.

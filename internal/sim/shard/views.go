@@ -9,9 +9,9 @@ import (
 
 // Boundary-id resolution.
 //
-// A KindData payload names each boundary node's class by its interned
-// view id, and the receiver needs the view behind it: worker.step reads
-// ghost views as the children of its next-depth class views. Interned
+// A KindData payload names each boundary node's view by its interned
+// id, and the receiver needs the view behind it: worker.step reads
+// ghost views as the children of its next-depth node views. Interned
 // ids are local to a view.Table (assigned in interning order), so how
 // an id becomes a view is decided by the deployment, not by a setting:
 //
@@ -25,15 +25,15 @@ import (
 //     ghosts through it too. An id missing from the index is an
 //     *UnknownViewError.
 //   - One table per process (RunWorker). An id means nothing in another
-//     process, so the sender ships each class view's *body* to a peer
-//     once, on first reference: alongside every data payload it
-//     transmits the transitive closure of the payload's class views
+//     process, so the sender ships each boundary view's *body* to a
+//     peer once, on first reference: alongside every data payload it
+//     transmits the transitive closure of the payload's views
 //     minus everything the peer has already acked (KindView), and the
-//     receiver re-interns the bodies into its own table. Correctness
-//     needs only the equality pattern of the ids — the engine's
-//     per-round compaction (worker.step) maps ids to dense keys by first
-//     occurrence — so locally re-interned views refine identically to
-//     shared-table views. The rest of this comment concerns this case.
+//     receiver re-interns the bodies into its own table. A re-interned
+//     ghost view is structurally the sender's, so worker.step builds
+//     the same node views from it as from a shared-table view; only the
+//     table-local ids differ. The rest of this comment concerns this
+//     case.
 //
 // Durability and exactly-once: the receiver journals fresh bodies
 // before acking, so acked views survive its crashes and the sender's
@@ -49,8 +49,8 @@ import (
 // Resolution is deferred to worker.step, in ghost-slot order, and
 // never happens on a transport or journal path: all interning in a
 // worker process occurs on the engine-loop goroutine in a
-// deterministic order (leaf batch, per-round ghost slots, per-round
-// class batch). A kill-9'd worker that restarts with a fresh table
+// deterministic order (node leaves, per-round ghost slots, per-round
+// node batch). A kill-9'd worker that restarts with a fresh table
 // therefore reproduces its pre-crash ids exactly, which is what lets
 // checkpoint validation (worker.validate) compare table-local ids
 // across incarnations.

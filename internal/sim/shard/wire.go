@@ -126,11 +126,18 @@ func (r *wireReader) uvarint(what string) uint64 {
 	return v
 }
 
-// count reads an element count and bounds it.
+// count reads an element count and bounds it. Every counted element
+// takes at least one byte, so a count beyond the bytes left is
+// malformed; this keeps what a decoder allocates proportional to its
+// input.
 func (r *wireReader) count(what string) int {
 	v := r.uvarint(what)
-	if v > maxWireCount {
+	switch {
+	case v > maxWireCount:
 		r.fail("frame %s %d exceeds limit %d", what, v, maxWireCount)
+		return 0
+	case v > uint64(len(r.data)):
+		r.fail("frame %s %d exceeds the %d bytes left", what, v, len(r.data))
 		return 0
 	}
 	return int(v)

@@ -105,6 +105,34 @@ func TestWireDecodeTotality(t *testing.T) {
 	}
 }
 
+// FuzzShardFrame drives decodeMessage with arbitrary frame bodies, as a
+// peer or a torn stream could deliver them. The decoder must never
+// panic, and every frame it accepts must be a fixed point of the codec:
+// re-encoding the decoded message and decoding that again gives the
+// same message and the same bytes.
+func FuzzShardFrame(f *testing.F) {
+	for _, m := range wireMessages() {
+		f.Add(appendMessage(nil, m))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeMessage(data)
+		if err != nil {
+			return
+		}
+		body := appendMessage(nil, m)
+		again, err := decodeMessage(body)
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", m, err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the message: %+v, want %+v", again, m)
+		}
+		if !bytes.Equal(appendMessage(nil, again), body) {
+			t.Fatalf("encoding of %+v is not stable", m)
+		}
+	})
+}
+
 // TestWireRejectsMalformed covers the structured rejections: bad magic,
 // unknown kinds, trailing garbage, hostile counts, invalid ack kinds
 // and malformed view bodies.
