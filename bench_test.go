@@ -434,11 +434,10 @@ func BenchmarkPartitionScale(b *testing.B) {
 
 // E21 — end-to-end minimum-time election at scale (DESIGN.md §5): the
 // full Theorem 3.1 pipeline (ComputeAdvice → RunMinTime, which runs
-// Algorithm Elect on the class-sharing BSP engine and verifies the
-// outcome) on the same graph families as E20, two orders of magnitude
-// beyond what the per-node engines could carry. Beyond ns/op it reports
-// the election rounds and the interned representative views per round —
-// the quantity class sharing collapses from n to the class count.
+// Algorithm Elect on labels on the BSP engine and verifies the outcome)
+// on the same graph families as E20, two orders of magnitude beyond
+// what the per-node engines could carry. Beyond ns/op it reports the
+// election rounds and the advice length; the election interns no view.
 func BenchmarkElectionEndToEndScale(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -465,7 +464,6 @@ func BenchmarkElectionEndToEndScale(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Time), "rounds")
 			b.ReportMetric(float64(res.AdviceBits), "advice-bits")
-			b.ReportMetric(float64(res.ClassViews)/float64(res.Time+1), "views/round")
 		})
 	}
 }

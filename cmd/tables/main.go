@@ -11,6 +11,8 @@ import (
 	"os"
 
 	election "repro"
+	"repro/internal/bits"
+	"repro/internal/part"
 )
 
 type experiment struct {
@@ -360,11 +362,11 @@ func e15() {
 }
 
 func e16() {
-	fmt.Println("| graph | phi | m | messages | 2*m*phi |")
-	fmt.Println("|---|---|---|---|---|")
+	fmt.Println("| graph | phi | m | messages | 2*m*phi | label message bits |")
+	fmt.Println("|---|---|---|---|---|---|")
 	for _, tc := range benchGraphs() {
 		s := election.NewSystem()
-		phi, ok := s.ElectionIndex(tc.g)
+		phi, reps, ok := part.ElectionTrace(tc.g)
 		if !ok {
 			continue
 		}
@@ -372,8 +374,32 @@ func e16() {
 		if err != nil {
 			die(err)
 		}
-		fmt.Printf("| %s | %d | %d | %d | %d |\n", tc.name, phi, tc.g.M(), res.Messages, 2*tc.g.M()*phi)
+		fmt.Printf("| %s | %d | %d | %d | %d | %d |\n", tc.name, phi, tc.g.M(), res.Messages, 2*tc.g.M()*phi,
+			labelMessageBits(tc.g, reps))
 	}
+	fmt.Println()
+	fmt.Println("Elect runs on labels: a message is the sender's port and its previous")
+	fmt.Println("round's label, so time phi takes O(log n)-bit messages.")
+}
+
+// labelMessageBits is the traffic of Algorithm Elect on labels. In
+// round r every node sends over each of its ports that port's number
+// and its round-(r−1) label: its degree in round 1, afterwards a
+// depth-(r−1) label, which is at most k_{r−1}, the number of depth-(r−1)
+// view classes (Claims 3.4 and 3.7). So round r costs
+// 2m·(BinLen(Δ−1) + w_r) bits, with w_1 = BinLen(Δ) and w_r =
+// BinLen(k_{r−1}); reps[d] holds one node per depth-d class.
+func labelMessageBits(g *election.Graph, reps [][]int) int {
+	delta := g.MaxDegree()
+	total := 0
+	for r := 1; r < len(reps); r++ {
+		w := bits.BinLen(delta)
+		if r >= 2 {
+			w = bits.BinLen(len(reps[r-1]))
+		}
+		total += 2 * g.M() * (bits.BinLen(delta-1) + w)
+	}
+	return total
 }
 
 func e17() {

@@ -36,7 +36,7 @@ func main() {
 	s := election.NewSystem()
 	fmt.Printf("lollipop: n=%d m=%d\n\n", g.N(), g.M())
 
-	// Reference: the single-process class-sharing BSP engine.
+	// Reference: the single-process BSP engine (Elect on labels).
 	ref, err := s.RunMinTime(g, election.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,9 @@ package election
 //	FuzzAdviceRoundTrip: the oracle's advice equals the view-based
 //	reference's bit for bit, Encode∘Decode is the identity on it, and
 //	Decode never panics on arbitrary bit strings.
+//	FuzzElectLabelsVsViews: Algorithm Elect on labels (sim.RunBSP) and
+//	on views (sim.RunSequential) produce the same result, or the same
+//	round-budget failure, under arbitrary decodable advice.
 
 import (
 	"reflect"
@@ -129,14 +132,51 @@ func decodeFuzzGraph(data []byte) (*Graph, int64) {
 	return nil, 0
 }
 
-// fuzzSeeds registers one representative of every decoder family, the
+// fuzzSeedGraphs is one representative of every decoder family, the
 // same instances the committed corpus files pin.
-func fuzzSeeds(f *testing.F) {
-	for kind := byte('0'); kind <= '9'; kind++ {
-		f.Add([]byte{kind, '1', '2', '3', '4', '5'})
+func fuzzSeedGraphs() [][]byte {
+	var seeds [][]byte
+	for kind := byte('0'); kind <= ';'; kind++ { // ':' and ';' are kinds 10 and 11
+		seeds = append(seeds, []byte{kind, '1', '2', '3', '4', '5'})
 	}
-	f.Add([]byte{':', '1', '2', '3', '4', '5'}) // kind 10
-	f.Add([]byte{';', '1', '2', '3', '4', '5'}) // kind 11
+	return seeds
+}
+
+// fuzzSeeds registers the seed graphs.
+func fuzzSeeds(f *testing.F) {
+	for _, data := range fuzzSeedGraphs() {
+		f.Add(data)
+	}
+}
+
+// fuzzBits reads a bit string from fuzzer bytes: data[1:] packed most
+// significant bit first, less the last data[0] mod 8 bits of the last
+// byte. packFuzzBits is its inverse.
+func fuzzBits(data []byte) bits.String {
+	var w bits.Writer
+	if len(data) == 0 {
+		return w.String()
+	}
+	body := data[1:]
+	for i, b := range body {
+		k := 8
+		if i == len(body)-1 {
+			k -= int(data[0] % 8)
+		}
+		w.WriteBits(uint64(b>>(8-k)), k)
+	}
+	return w.String()
+}
+
+func packFuzzBits(s bits.String) []byte {
+	out := make([]byte, 1+(s.Len()+7)/8)
+	out[0] = byte((8 - s.Len()%8) % 8)
+	for i := 0; i < s.Len(); i++ {
+		if s.Bit(i) {
+			out[1+i/8] |= 0x80 >> (i % 8)
+		}
+	}
+	return out
 }
 
 func FuzzElectionConformance(f *testing.F) {
@@ -227,6 +267,43 @@ func FuzzAdviceRoundTrip(f *testing.F) {
 		if re := dec.Encode(); !bits.Equal(re, enc) {
 			t.Fatalf("re-encode differs: %d bits vs %d", re.Len(), enc.Len())
 		}
+	})
+}
+
+func FuzzElectLabelsVsViews(f *testing.F) {
+	s := NewSystem()
+	for _, data := range fuzzSeedGraphs() {
+		g, _ := decodeFuzzGraph(data)
+		if g == nil || g.N() < 3 || !s.Feasible(g) {
+			continue
+		}
+		a, enc, err := s.ComputeAdvice(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Its own advice, the same advice with a φ past every round
+		// budget, and the advice of a port-shuffled copy.
+		f.Add(data, packFuzzBits(enc))
+		huge := &Advice{Phi: 1 << 40, E1: a.E1, E2: a.E2, Tree: a.Tree}
+		f.Add(data, packFuzzBits(huge.Encode()))
+		if sh := ShufflePorts(g, 1); s.Feasible(sh) {
+			_, enc, err := s.ComputeAdvice(sh)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data, packFuzzBits(enc))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data, advBits []byte) {
+		g, _ := decodeFuzzGraph(data)
+		if g == nil || g.N() > 64 {
+			return
+		}
+		adv, err := advice.Decode(fuzzBits(advBits))
+		if err != nil {
+			return
+		}
+		requireLabelsMatchViews(t, "fuzz", g, adv)
 	})
 }
 

@@ -1,7 +1,8 @@
 // Package algorithms implements the node programs of the paper as
 // sim.Decider state machines:
 //
-//   - Elect (Algorithm 6): minimum-time election with O(n log n) advice;
+//   - Elect (Algorithm 6): minimum-time election with O(n log n) advice,
+//     also a sim.LabelProgram that runs on O(log n)-bit labels;
 //   - Generic(x) (Algorithm 7): advice-free except for the integer x >= φ,
 //     elects in time <= D + x + 1 (Lemma 4.1);
 //   - Election1..4 (Algorithm 8 + Theorem 4.1): Generic driven by the
@@ -12,12 +13,15 @@
 //     O(log D + log φ) advice.
 //
 // All programs observe only their degree, the common advice, and the view
-// B^r(v) handed to them each round; they never see simulation identities.
+// B^r(v) handed to them each round (or, for Elect on labels, what the
+// label recursion reads of it); they never see simulation identities.
 package algorithms
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/advice"
 	"repro/internal/bits"
@@ -29,7 +33,10 @@ import (
 )
 
 // Elect is Algorithm 6. All nodes share the decoded advice and one
-// concurrency-safe labeler over the common view table.
+// concurrency-safe labeler over the common view table. It is also a
+// sim.LabelProgram, so sim.RunBSP runs it on labels and interns no
+// view; the other engines run Decide on views, which is what its label
+// form is pinned against.
 type Elect struct {
 	Adv *advice.Advice
 	Lab *trie.SharedLabeler
@@ -72,15 +79,82 @@ func (e *Elect) Decide(r int, b *view.View) (out []int, done bool) {
 			out, done = []int{}, true
 		}
 	}()
-	x := e.Lab.RetrieveLabel(b, e.Adv.E1, e.Adv.E2)
+	return e.output(e.Lab.RetrieveLabel(b, e.Adv.E1, e.Adv.E2)), true
+}
+
+// output is the path to the leader from the node labeled x. Corrupt
+// advice gets an empty (self-electing) output; the verifier will reject
+// the election, which is the observable failure mode the lower bounds
+// reason about.
+func (e *Elect) output(x int) []int {
 	ports, err := e.Adv.PathToLeader(x)
 	if err != nil {
-		// Corrupt advice: emit an empty (self-electing) output; the
-		// verifier will reject the election, which is the observable
-		// failure mode the lower bounds reason about.
+		return []int{}
+	}
+	return ports
+}
+
+// Elect as a sim.LabelProgram: a node's round-d label is
+// RetrieveLabel(B^d(u)), computed the way Algorithm 3's recursion
+// computes it — from E1 on the depth-1 view, then by level d of E2 from
+// its own and its neighbors' depth-(d−1) labels (a view's truncation
+// and children). A label step that panics on corrupt or foreign advice
+// poisons the node's label, and the poison spreads to every node that
+// hears it, so a node's depth-φ label is poisoned exactly when
+// RetrieveLabel's recursion on B^φ(u) — which visits B^d(w) for every
+// w within φ−d of u — would panic, and Decide would self-elect.
+// Labels are bounded by the advice's trie sizes, far below the
+// sentinel's magnitude.
+const poisoned = math.MinInt32
+
+// depth1Writers holds the buffers InitLabel encodes bin(B^1) into. In
+// steady state there is one per worker of the label sweep, so the
+// sweep allocates no encoding per node.
+var depth1Writers = sync.Pool{New: func() any { return new(bits.Writer) }}
+
+// InitLabel implements sim.LabelProgram: the depth-1 label, E1's
+// LocalLabel on the view's encoding.
+func (e *Elect) InitLabel(remote, nbrDeg []int32) (label int32) {
+	defer func() {
+		if recover() != nil {
+			label = poisoned
+		}
+	}()
+	e1 := e.Adv.E1
+	if e1.IsLeaf() {
+		return 1
+	}
+	w := depth1Writers.Get().(*bits.Writer)
+	label = int32(e1.LocalLabel1(view.WriteDepth1(w, remote, nbrDeg)))
+	depth1Writers.Put(w)
+	return label
+}
+
+// StepLabel implements sim.LabelProgram: the depth-r label, level r of
+// E2 applied to the node's depth-(r−1) label and its neighbors'.
+func (e *Elect) StepLabel(r int, own int32, nbr []int32) (label int32) {
+	if own == poisoned || slices.Contains(nbr, poisoned) {
+		return poisoned
+	}
+	defer func() {
+		if recover() != nil {
+			label = poisoned
+		}
+	}()
+	return int32(e.Adv.E2.Level(r).Label(int(own), nbr))
+}
+
+// DecideLabel implements sim.LabelProgram: Decide on the round-r label.
+// At round 0 there is no label to read (RetrieveLabel panics on a
+// depth-0 view), so advice with φ <= 0 self-elects every node.
+func (e *Elect) DecideLabel(r int, label int32) ([]int, bool) {
+	if r < e.Adv.Phi {
+		return nil, false
+	}
+	if r == 0 || label == poisoned {
 		return []int{}, true
 	}
-	return ports, true
+	return e.output(int(label)), true
 }
 
 // Generic is Algorithm 7 with parameter x. The node stops at the first

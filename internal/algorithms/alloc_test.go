@@ -6,6 +6,7 @@
 package algorithms
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/advice"
@@ -56,5 +57,45 @@ func TestFactoryAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(10, sweep); got != 0 {
 			t.Errorf("%s: a factory sweep over %d nodes allocates %v times, want 0", name, g.N(), got)
 		}
+	}
+}
+
+// TestElectLabelSweepAllocs checks that Elect on labels allocates, per
+// node, nothing but its output path: from one grid to a four times
+// larger one, a RunBSP election gains at most one allocation per added
+// node. AllocsPerRun measures on one P, so the sweep runs inline with
+// one pooled depth-1 encoding writer; the collector is off so that the
+// pool keeps it from one run to the next.
+func TestElectLabelSweepAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(g *graph.Graph) float64 {
+		tab := view.NewTable()
+		a, err := advice.NewOracle(tab).ComputeAdvice(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewElectFactoryDecoded(tab, a)
+		run := func() *sim.Result {
+			res, err := sim.RunBSP(tab, g, f, sim.DefaultMaxRounds(g), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		res := run()
+		if res.ClassViews != 0 || res.Time != a.Phi {
+			t.Fatalf("RunBSP interned %d class views in %d rounds; want labels in φ = %d", res.ClassViews, res.Time, a.Phi)
+		}
+		if _, err := sim.Verify(g, res.Outputs); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { run() })
+	}
+	small, large := graph.GridStream(20, 21), graph.GridStream(40, 41)
+	as, al := allocs(small), allocs(large)
+	t.Logf("%v allocations on %d nodes, %v on %d", as, small.N(), al, large.N())
+	if added := large.N() - small.N(); al-as > float64(added) {
+		t.Fatalf("Elect on labels allocates %v times on %d nodes and %v on %d: %.2f per added node, want <= 1",
+			as, small.N(), al, large.N(), (al-as)/float64(added))
 	}
 }

@@ -295,6 +295,16 @@ func (w *Writer) Take() String {
 	return s
 }
 
+// Peek returns the accumulated bits without copying them: the result
+// shares the writer's buffer and is valid until its next write or
+// Reset.
+func (w *Writer) Peek() String { return String{b: w.b, n: w.n} }
+
+// Reset empties the writer but keeps its buffer, so an encoder that
+// reuses one writer allocates only when an output outgrows all earlier
+// ones.
+func (w *Writer) Reset() { w.b, w.n = w.b[:0], 0 }
+
 // doubled[b] is the 16-bit doubling of the byte b: every bit of b,
 // most significant first, written twice.
 var doubled = func() (t [256]uint16) {

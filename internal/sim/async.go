@@ -15,10 +15,12 @@
 // B^{r-1}, which is precisely how B^r(v) is defined), and by the
 // Yamashita–Kameda quotient argument B^r(v) is shared by v's whole
 // view class at depth r. So the engine never moves views through the
-// event queue at all: it drives one classviews.Materializer — the same
-// class-sharing core as RunBSP and the oracle, one part.Refiner step
-// and one interned view per class per logical round — and events carry
-// only timing: (delivery time, sequence, destination, round stamp).
+// event queue at all: it drives one classviews.Materializer — the
+// class-sharing core of RunBSP's view path, one part.FrontierRefiner
+// step and one interned view per class per logical round — and events
+// carry only timing: (delivery time, sequence, destination, round
+// stamp). Unlike RunBSP it runs label programs such as Algorithm Elect
+// on their views too.
 // The adversary controls the schedule and nothing else, which is why
 // Outputs, Rounds and Time are identical to RunBSP under every delay
 // model and seed (the differential suite in engines_test.go pins

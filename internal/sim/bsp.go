@@ -1,20 +1,25 @@
-// Bulk-synchronous class-sharing engine.
+// Bulk-synchronous engine.
 //
 // RunSequential and RunConcurrent realize a round by building one view
 // per node (and, concurrently, one goroutine per node and one channel
-// per directed edge). But nodes in the same view-equivalence class at
-// depth r carry *identical* B^r(v) — the Yamashita–Kameda quotient
-// argument behind Proposition 2.1 — so a round only ever needs one
-// interned view per class. RunBSP exploits that through the
-// classviews.Materializer it shares with RunAsync (one
-// part.FrontierRefiner step and one interned view per class per round):
-// every node reads its view as Views()[Class()[v]], and the Decide
-// sweep is batched over a worker pool sharded by node ranges with a
-// barrier per round.
+// per directed edge). RunBSP runs the same rounds in one of two ways,
+// both batched over a pool of persistent workers that own node ranges,
+// with a barrier per round:
+//
+//   - Label programs (labels.go): when every node's decider is a
+//     LabelProgram, nodes exchange one int32 label per round over two
+//     label arrays, and no view is interned at all.
+//   - Class-shared views: nodes in the same view-equivalence class at
+//     depth r carry *identical* B^r(v) — the Yamashita–Kameda quotient
+//     argument behind Proposition 2.1 — so a round only ever needs one
+//     interned view per class. RunBSP gets them from the
+//     classviews.Materializer it shares with RunAsync (one
+//     part.FrontierRefiner step and one interned view per class per
+//     round), and every node reads its view as Views()[Class()[v]].
 //
 // The engine is observationally identical to RunSequential (same
-// Outputs, Rounds, Time, Messages, and — because interning makes
-// structural equality pointer equality — the very same *view.View
+// Outputs, Rounds, Time, Messages; on views, because interning makes
+// structural equality pointer equality, the very same *view.View
 // handles reach the deciders). All buffers are reused across rounds.
 package sim
 
@@ -30,10 +35,10 @@ import (
 	"repro/internal/view"
 )
 
-// RunBSP executes the synchronous protocol with class-shared views and a
-// worker-pool decide sweep. workers <= 0 selects GOMAXPROCS. It must
-// behave exactly like RunSequential on every input; deciders may be
-// invoked from multiple goroutines (for different nodes), the same
+// RunBSP executes the synchronous protocol on labels or class-shared
+// views with a worker-pool sweep. workers <= 0 selects GOMAXPROCS. It
+// must behave exactly like RunSequential on every input; deciders may
+// be invoked from multiple goroutines (for different nodes), the same
 // discipline RunConcurrent already imposes.
 func RunBSP(tab *view.Table, g *graph.Graph, f Factory, maxRounds, workers int) (*Result, error) {
 	return RunBSPCtx(context.Background(), tab, g, f, maxRounds, workers)
@@ -45,24 +50,31 @@ func RunBSP(tab *view.Table, g *graph.Graph, f Factory, maxRounds, workers int) 
 func RunBSPCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, maxRounds, workers int) (*Result, error) {
 	n := g.N()
 	deciders := make([]Decider, n)
+	labels := true
 	for v := 0; v < n; v++ {
 		deciders[v] = f(v, g.Deg(v))
+		_, ok := deciders[v].(LabelProgram)
+		labels = labels && ok
+	}
+	if labels {
+		return runLabels(ctx, g, deciders, maxRounds, workers)
 	}
 	res := &Result{Outputs: make([][]int, n), Rounds: make([]int, n)}
-	done := make([]bool, n)
 
 	cv := classviews.New(tab, g)
 	res.ClassViews += cv.NumClasses()
 
-	sweep := newSweeper(n, workers, deciders, done, res)
+	vs := &viewSweep{deciders: deciders, done: make([]bool, n), res: res}
+	sweep := newSweeper(n, workers, vs.sweep)
 	defer sweep.close()
 
 	remaining := n
 	for r := 0; ; r++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sim: bsp canceled at round %d with %d nodes undecided: %w", r, remaining, err)
+			return nil, canceled(r, remaining, err)
 		}
-		remaining -= sweep.run(r, cv.Class(), cv.Views())
+		vs.round, vs.class, vs.views = r, cv.Class(), cv.Views()
+		remaining -= sweep.run()
 		if remaining == 0 {
 			break
 		}
@@ -73,32 +85,61 @@ func RunBSPCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, 
 		res.ClassViews += cv.NumClasses()
 		res.Messages += 2 * g.M()
 	}
-	for _, r := range res.Rounds {
-		if r > res.Time {
-			res.Time = r
-		}
-	}
+	res.setTime()
 	return res, nil
 }
 
-// sweeper runs the per-round Decide sweep over a pool of persistent
-// workers, each owning contiguous node ranges. Small runs (or workers
-// == 1) stay on the calling goroutine: the pool exists for the rounds
-// where per-node decision work dominates, not to tax unit-test graphs.
-type sweeper struct {
-	n        int
+func canceled(round, undecided int, err error) error {
+	return fmt.Errorf("sim: bsp canceled at round %d with %d nodes undecided: %w", round, undecided, err)
+}
+
+// setTime sets Time to the last decision round.
+func (res *Result) setTime() {
+	for _, r := range res.Rounds {
+		res.Time = max(res.Time, r)
+	}
+}
+
+// viewSweep is the round-r Decide sweep on class-shared views.
+type viewSweep struct {
 	deciders []Decider
 	done     []bool
 	res      *Result
 
+	round int
+	class []int32
+	views []*view.View
+}
+
+func (s *viewSweep) sweep(_, lo, hi int) int {
+	decided := 0
+	for v := lo; v < hi; v++ {
+		if s.done[v] {
+			continue
+		}
+		if out, ok := s.deciders[v].Decide(s.round, s.views[s.class[v]]); ok {
+			s.res.Outputs[v], s.res.Rounds[v], s.done[v] = out, s.round, true
+			decided++
+		}
+	}
+	return decided
+}
+
+// sweeper runs one round's per-node work over a pool of persistent
+// workers, each owning contiguous node ranges. Small runs (or workers
+// == 1) stay on the calling goroutine: the pool exists for the rounds
+// where per-node work dominates, not to tax unit-test graphs.
+type sweeper struct {
+	n       int
 	workers int
 	chunk   int
-	jobs    chan sweepJob
-	wg      sync.WaitGroup
+	// body does the work of nodes [lo, hi) on worker w (0 <= w <
+	// workers, so a body may keep scratch per worker) and returns how
+	// many of them decided.
+	body func(w, lo, hi int) int
+	jobs chan sweepJob
+	wg   sync.WaitGroup
 
-	round    int
-	class    []int32
-	cv       []*view.View
 	decided  atomic.Int64
 	panicMu  sync.Mutex
 	panicked any
@@ -109,23 +150,23 @@ type sweepJob struct{ lo, hi int }
 // sweepInlineBelow is the node count under which the pool is bypassed.
 const sweepInlineBelow = 2048
 
-func newSweeper(n, workers int, deciders []Decider, done []bool, res *Result) *sweeper {
+func newSweeper(n, workers int, body func(w, lo, hi int) int) *sweeper {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &sweeper{n: n, deciders: deciders, done: done, res: res, workers: workers}
+	s := &sweeper{n: n, workers: workers, body: body}
 	if workers == 1 || n < sweepInlineBelow {
 		s.workers = 1
 		return s
 	}
-	// ~4 chunks per worker so uneven per-node decision cost (nodes near
-	// deciding do real work, decided nodes are skipped) still balances.
+	// ~4 chunks per worker so uneven per-node cost (nodes near deciding
+	// do real work, decided nodes are skipped) still balances.
 	s.chunk = (n + 4*workers - 1) / (4 * workers)
 	s.jobs = make(chan sweepJob)
 	for w := 0; w < workers; w++ {
 		go func() {
 			for job := range s.jobs {
-				s.runRange(job.lo, job.hi)
+				s.runRange(w, job.lo, job.hi)
 				s.wg.Done()
 			}
 		}()
@@ -133,20 +174,15 @@ func newSweeper(n, workers int, deciders []Decider, done []bool, res *Result) *s
 	return s
 }
 
-// run performs the round-r sweep and returns how many nodes decided.
-func (s *sweeper) run(r int, class []int32, cv []*view.View) int {
-	s.round, s.class, s.cv = r, class, cv
+// run performs one round's sweep and returns how many nodes decided.
+func (s *sweeper) run() int {
 	s.decided.Store(0)
 	if s.workers == 1 {
-		s.runRange(0, s.n)
+		s.runRange(0, 0, s.n)
 	} else {
 		for lo := 0; lo < s.n; lo += s.chunk {
-			hi := lo + s.chunk
-			if hi > s.n {
-				hi = s.n
-			}
 			s.wg.Add(1)
-			s.jobs <- sweepJob{lo, hi}
+			s.jobs <- sweepJob{lo, min(lo+s.chunk, s.n)}
 		}
 		s.wg.Wait()
 	}
@@ -158,7 +194,7 @@ func (s *sweeper) run(r int, class []int32, cv []*view.View) int {
 	return int(s.decided.Load())
 }
 
-func (s *sweeper) runRange(lo, hi int) {
+func (s *sweeper) runRange(w, lo, hi int) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panicMu.Lock()
@@ -168,20 +204,7 @@ func (s *sweeper) runRange(lo, hi int) {
 			s.panicMu.Unlock()
 		}
 	}()
-	count := int64(0)
-	for v := lo; v < hi; v++ {
-		if s.done[v] {
-			continue
-		}
-		out, ok := s.deciders[v].Decide(s.round, s.cv[s.class[v]])
-		if ok {
-			s.res.Outputs[v] = out
-			s.res.Rounds[v] = s.round
-			s.done[v] = true
-			count++
-		}
-	}
-	s.decided.Add(count)
+	s.decided.Add(int64(s.body(w, lo, hi)))
 }
 
 func (s *sweeper) close() {

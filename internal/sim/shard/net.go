@@ -2,11 +2,13 @@ package shard
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/faults"
@@ -88,11 +90,28 @@ func NewNetTransport(self int, network string, addrs []string, inj *faults.Injec
 			return nil, fmt.Errorf("shard: unlink stale socket: %w", err)
 		}
 	}
-	ln, err := net.Listen(network, addrs[self])
+	ln, err := listenRetry(network, addrs[self])
 	if err != nil {
 		return nil, fmt.Errorf("shard: listen %s %s: %w", network, addrs[self], err)
 	}
 	return newNetTransport(self, network, addrs, ln, inj), nil
+}
+
+// listenRetry listens on addr, retrying for up to five seconds while
+// the address is in use. A restarted worker can start before its
+// crashed predecessor has closed its listener — the predecessor's
+// control connection closes first, and its loss is what makes the
+// supervisor restart the shard — and a worker that gave up here would
+// exit before its Hello, leaving the supervisor waiting for it.
+func listenRetry(network, addr string) (net.Listener, error) {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ln, err := net.Listen(network, addr)
+		if err == nil || !errors.Is(err, syscall.EADDRINUSE) || time.Now().After(deadline) {
+			return ln, err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func newNetTransport(self int, network string, addrs []string, ln net.Listener, inj *faults.Injector) *NetTransport {

@@ -142,6 +142,27 @@ func TestNetTransportUnixStaleSocket(t *testing.T) {
 	}
 }
 
+// TestNetTransportWaitsForBusyAddress pins the restart discipline of
+// tcp endpoints: a successor that starts while its crashed predecessor
+// still holds the listen address waits for it instead of failing, since
+// a worker that exits before its Hello is invisible to the supervisor.
+func TestNetTransportWaitsForBusyAddress(t *testing.T) {
+	old, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{old.Addr().String(), "127.0.0.1:1"}
+	go func() {
+		time.Sleep(100 * time.Millisecond) // the predecessor winding down
+		old.Close()
+	}()
+	successor, err := NewNetTransport(0, "tcp", addrs, nil)
+	if err != nil {
+		t.Fatalf("successor gave up on its predecessor's address: %v", err)
+	}
+	successor.Close()
+}
+
 // TestShardedOverSockets is the loopback differential: the in-process
 // engine runs its boundary protocol over real TCP and unix-socket
 // connections and must stay bit-identical to RunBSP. Its shards share

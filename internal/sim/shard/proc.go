@@ -71,15 +71,24 @@ type procSuper struct {
 
 // register installs conn as the shard's current control connection,
 // closing any predecessor (a restarted worker reconnects before the
-// supervisor necessarily noticed the old conn die).
-func (ps *procSuper) register(shard int, conn net.Conn) {
+// supervisor necessarily noticed the old conn die). Once the run is
+// stopping it closes conn instead and returns false: the stop has
+// already closed every registered conn and waits for their readers, so
+// a conn registered after that would never be closed.
+func (ps *procSuper) register(shard int, conn net.Conn) bool {
 	ps.mu.Lock()
+	if ps.stopping.Load() {
+		ps.mu.Unlock()
+		conn.Close()
+		return false
+	}
 	old := ps.conns[shard]
 	ps.conns[shard] = conn
 	ps.mu.Unlock()
 	if old != nil {
 		old.Close()
 	}
+	return true
 }
 
 // current reports whether conn is still the shard's registered conn.
@@ -126,7 +135,9 @@ func (ps *procSuper) serveConn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // clear the hello deadline
 	shard := first.From
-	ps.register(shard, conn)
+	if !ps.register(shard, conn) {
+		return
+	}
 	sawErr := false
 	for {
 		m, err := readFrame(br)

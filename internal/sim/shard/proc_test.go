@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -211,5 +212,26 @@ func TestRunProcUnderChaos(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunProcLateRegistration: a worker whose Hello arrives after the
+// supervisor began stopping — a restarted incarnation connecting as the
+// run ends — is closed, not registered; the stop had already closed
+// every registered conn and waits for their readers, so a conn
+// registered then would keep RunProc waiting forever.
+func TestRunProcLateRegistration(t *testing.T) {
+	ps := &procSuper{conns: map[int]net.Conn{}}
+	ps.stopping.Store(true)
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	if ps.register(1, conn) {
+		t.Fatal("a conn registered after the stop began")
+	}
+	if len(ps.conns) != 0 {
+		t.Fatalf("conns = %v, want none", ps.conns)
+	}
+	if _, err := conn.Write([]byte{0}); err == nil {
+		t.Fatal("the late conn was left open")
 	}
 }

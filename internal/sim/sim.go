@@ -14,10 +14,12 @@
 //   - the sequential engine (RunSequential) performs the exchange in a
 //     deterministic per-node loop and is the reference the others are
 //     pinned against; only tests run it;
-//   - the bulk-synchronous class-sharing engine (RunBSP, see bsp.go)
-//     interns one view per view-equivalence class per round and batches
-//     the decide sweep over a worker pool — the engine that carries
-//     end-to-end elections to 100k-node graphs;
+//   - the bulk-synchronous engine (RunBSP, see bsp.go) batches each
+//     round over a worker pool — the engine that carries end-to-end
+//     elections to 100k-node graphs. It runs label programs
+//     (LabelProgram, labels.go), such as Algorithm Elect, on one int32
+//     label per node per round and interns no view; other programs get
+//     one interned view per view-equivalence class per round;
 //   - the concurrent engine (RunConcurrent) runs one goroutine per node
 //     and moves view messages across buffered channels, one channel per
 //     directed edge — the natural Go realization of a message-passing
@@ -28,10 +30,10 @@
 //   - the asynchronous engine (RunAsync, async.go) drops the synchrony
 //     assumption itself: nodes run the α-synchronizer over an
 //     event-driven network whose per-message delays are chosen by an
-//     adversarial DelayModel (delay.go). It shares the class-sharing
-//     materializer with RunBSP and must produce identical Outputs,
-//     Rounds and Time under every delay model; only the virtual
-//     schedule differs.
+//     adversarial DelayModel (delay.go). It runs every program on
+//     class-shared views, like RunBSP's view path, and must produce
+//     identical Outputs, Rounds and Time under every delay model; only
+//     the virtual schedule differs.
 //
 // Every engine reports an exceeded round budget as a *StuckError.
 package sim
@@ -77,7 +79,8 @@ type Result struct {
 	WireBits int // total bits on the wire (wire mode only)
 	// ClassViews counts the representative views interned across all
 	// rounds — the class-sharing engines' whole interning volume, at
-	// most (Time+1)·n but typically far less (RunBSP and RunAsync).
+	// most (Time+1)·n but typically far less (RunBSP and RunAsync). It
+	// is 0 when RunBSP runs label programs, which intern no view.
 	ClassViews int
 }
 
@@ -137,11 +140,7 @@ func RunSequential(tab *view.Table, g *graph.Graph, f Factory, maxRounds int) (*
 		// did not perform.
 		res.Messages += 2 * g.M()
 	}
-	for _, r := range res.Rounds {
-		if r > res.Time {
-			res.Time = r
-		}
-	}
+	res.setTime()
 	return res, nil
 }
 

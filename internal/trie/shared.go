@@ -89,7 +89,7 @@ func (sl *SharedLabeler) retrieveLabel(b *view.View, e1 Trie, e2 E2) int {
 		x = append(x, int32(sl.RetrieveLabel(e.Child, e1, e2)))
 	}
 	label := sl.RetrieveLabel(sl.Tab.Truncate(b), e1, e2)
-	return e2.levelEntry(b.Depth).Label(label, x)
+	return e2.Level(b.Depth).Label(label, x)
 }
 
 // storeLabel records a computed label, growing the array to cover the

@@ -227,11 +227,12 @@ func (e E2) BuildIndex() {
 	}
 }
 
-// levelEntry returns the LevelList for the given depth, or nil. The
-// oracle and E2FromTokens build levels in depth order 2..φ, so level
-// depth sits at index depth-2; the scan is the fallback for
-// hand-assembled E2 values.
-func (e E2) levelEntry(depth int) *LevelList {
+// Level returns the LevelList for the given depth, or nil: the level
+// whose Label step labels the views of that depth. The oracle and
+// E2FromTokens build levels in depth order 2..φ, so level depth sits
+// at index depth-2; the scan is the fallback for hand-assembled E2
+// values.
+func (e E2) Level(depth int) *LevelList {
 	if k := depth - 2; k >= 0 && k < len(e) && e[k].Depth == depth {
 		return &e[k]
 	}
@@ -245,7 +246,7 @@ func (e E2) levelEntry(depth int) *LevelList {
 
 // level returns the couple list for the given depth, or nil.
 func (e E2) level(depth int) []Couple {
-	if l := e.levelEntry(depth); l != nil {
+	if l := e.Level(depth); l != nil {
 		return l.Couples
 	}
 	return nil

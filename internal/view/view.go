@@ -381,6 +381,22 @@ func EncodeDepth1Ports(deg int, port func(j int) (remotePort, nbrDeg int)) bits.
 		n += 4*(bits.BinLen(j)+bits.BinLen(a)+bits.BinLen(b)) + 8
 	}
 	w := bits.NewWriter(n)
+	writeDepth1(&w, deg, port)
+	return w.Take()
+}
+
+// WriteDepth1 is EncodeDepth1Ports for ports given as slices — port j
+// leads to port remote[j] of a neighbor of degree nbrDeg[j] — written
+// into w after resetting it. The result shares w's buffer (it is valid
+// until w's next write), so a caller that keeps one writer encodes
+// without allocating once the buffer has grown to its largest view.
+func WriteDepth1(w *bits.Writer, remote, nbrDeg []int32) bits.String {
+	w.Reset()
+	writeDepth1(w, len(remote), func(j int) (int, int) { return int(remote[j]), int(nbrDeg[j]) })
+	return w.Peek()
+}
+
+func writeDepth1(w *bits.Writer, deg int, port func(j int) (remotePort, nbrDeg int)) {
 	for j := 0; j < deg; j++ {
 		a, b := port(j)
 		if j > 0 {
@@ -392,7 +408,6 @@ func EncodeDepth1Ports(deg int, port func(j int) (remotePort, nbrDeg int)) bits.
 		w.WriteBits(0b0011, 4)
 		w.WriteBinRepeated(b, 4)
 	}
-	return w.Take()
 }
 
 // distinctCount returns the number of distinct views in vs.

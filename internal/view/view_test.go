@@ -463,10 +463,13 @@ func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 		graph.RandomConnected(30, 40, 11),
 	} {
 		tb := NewTable()
+		var reused bits.Writer // one writer across nodes, as the label sweep keeps it
 		for w, v := range Levels(tb, g, 1)[1] {
 			parts := make([]bits.String, v.Deg)
+			remote, nbrDeg := make([]int32, v.Deg), make([]int32, v.Deg)
 			for j, e := range v.Edges {
 				parts[j] = bits.ConcatInts(j, e.RemotePort, e.Child.Deg)
+				remote[j], nbrDeg[j] = int32(e.RemotePort), int32(e.Child.Deg)
 			}
 			want := bits.Concat(parts...)
 			if !bits.Equal(EncodeDepth1(v), want) {
@@ -478,6 +481,9 @@ func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 			})
 			if !bits.Equal(fromGraph, want) {
 				t.Fatalf("EncodeDepth1Ports diverges from nested Concat at node %d", w)
+			}
+			if !bits.Equal(WriteDepth1(&reused, remote, nbrDeg), want) {
+				t.Fatalf("WriteDepth1 diverges from nested Concat at node %d", w)
 			}
 		}
 	}
