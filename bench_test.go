@@ -788,9 +788,8 @@ func BenchmarkFrontierRefinement(b *testing.B) {
 // connections (NetGroup) against the in-process channel transport, and
 // the full multi-process deployment — shardd worker processes, socket
 // control plane, disk journals — with one worker SIGKILLed mid-run.
-// The inprocess and loopback-tcp rows run the in-process engine, whose
-// shards share one view table and exchange ids only; the procs-* rows,
-// one table per worker process, also price view shipping.
+// Every row runs Elect on labels, so one int32 per boundary node and
+// round crosses the wire, between goroutines or between processes.
 // Beyond ns/op it reports rounds (bit-identical everywhere by the
 // differential suite), transport resends, and for the kill variant the
 // crash count and the mean recovery (restart + journal replay) time per
@@ -819,13 +818,12 @@ func BenchmarkShardedWire(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// n=100k boundary exchanges ship ~1MB data frames per leg
-				// (plus multi-MB view closures between worker processes).
-				// Pace the resend ramp for
-				// big frames (the 200µs default floor is tuned for small
-				// in-process exchanges) and give the exchange headroom over
-				// the 10s default before calling a shard stuck — all
-				// variants share these knobs so the rows stay comparable.
+				// n=100k boundary exchanges carry tens of thousands of
+				// labels per leg. Pace the resend ramp for big frames
+				// (the 200µs default floor is tuned for small in-process
+				// exchanges) and give the exchange headroom over the 10s
+				// default before calling a shard stuck — all variants
+				// share these knobs so the rows stay comparable.
 				opt := shard.Options{Shards: shards, MaxRounds: sim.DefaultMaxRounds(g),
 					RetryBase: 5 * time.Millisecond, RetryMax: time.Second, RoundTimeout: 5 * time.Minute}
 				if mkTransport != nil {

@@ -50,7 +50,7 @@
 // the run reports, differs.
 //
 // -shards=N runs the synchronous rounds on the crash-tolerant sharded
-// engine (N contiguous node ranges exchanging boundary view ids);
+// engine (N contiguous node ranges exchanging boundary labels);
 // -chaos=<seed> additionally injects a replayable fault schedule —
 // drops, dups, reorders, delays and shard crashes — on the boundary
 // transport. The election outcome is bit-identical either way; the run
@@ -92,7 +92,7 @@ func main() {
 		delay      = flag.String("delay", "uniform", "async delay model: uniform, exp, pareto, fixed, fifo, slowcut")
 		shards     = flag.Int("shards", 0, "run the synchronous rounds on the crash-tolerant sharded engine with this many shards (>1)")
 		chaos      = flag.Int64("chaos", 0, "with -shards: inject a seeded fault schedule (drops, dups, reorders, delays, crashes) on the boundary transport")
-		listen     = flag.String("listen", "", "with -shards: supervise real shardd worker processes over this control address (e.g. 127.0.0.1:0) instead of in-process goroutines; -algo mintime only")
+		listen     = flag.String("listen", "", "with -shards: supervise real shardd worker processes over this control address (e.g. 127.0.0.1:0) instead of in-process goroutines; -algo mintime only, since worker processes run Elect on labels")
 		peersList  = flag.String("peers", "", "with -listen: explicit comma-separated data-plane addresses, one per shard (default: auto-allocated on loopback)")
 		sharddBin  = flag.String("shardd", "", "with -listen: path to the shardd worker binary (default: next to this executable, then $PATH)")
 		network    = flag.String("network", "tcp", "with -listen: socket family for control and data planes, tcp or unix")

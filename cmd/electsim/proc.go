@@ -72,7 +72,7 @@ func runProcMode(ctx context.Context, s *election.System, g *election.Graph, phi
 	if chaos != 0 {
 		chaosSpec = shard.SeededChaosSpec(chaos, shards)
 	}
-	start := func(shardIdx, inc int, ctrlAddr string) error {
+	start := func(shardIdx, inc int, ctrlAddr string) (<-chan struct{}, error) {
 		args := []string{
 			"-shard", strconv.Itoa(shardIdx), "-shards", strconv.Itoa(shards), "-inc", strconv.Itoa(inc),
 			"-graph", graphPath, "-advice", advPath,
@@ -86,10 +86,14 @@ func runProcMode(ctx context.Context, s *election.System, g *election.Graph, phi
 		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			return err
+			return nil, err
 		}
-		go cmd.Wait() //nolint:errcheck // reaped for the zombie, exit status is the conn's job
-		return nil
+		exited := make(chan struct{})
+		go func() {
+			cmd.Wait() //nolint:errcheck // reaped for the zombie; a registered worker's exit status is the conn's job
+			close(exited)
+		}()
+		return exited, nil
 	}
 
 	wall := time.Now()

@@ -1,9 +1,9 @@
 // Command shardd is one worker process of the multi-process sharded
 // BSP deployment (internal/sim/shard, DESIGN.md §12): it owns one
-// contiguous node range of a shared graph, runs Algorithm Elect's
-// deciders over it, exchanges boundary view ids and view bodies with
-// its peer workers over real sockets, journals to disk, and answers to
-// a supervisor (electsim -listen, or shard.RunProc embedded in a test)
+// contiguous node range of a shared graph, runs Algorithm Elect on
+// labels over it, exchanges its boundary nodes' labels with its peer
+// workers over real sockets, journals to disk, and answers to a
+// supervisor (electsim -listen, or shard.RunProc embedded in a test)
 // over a persistent control connection.
 //
 // A worker is expendable by design: kill -9 it mid-round and the
@@ -34,7 +34,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/sim/shard"
-	"repro/internal/view"
 )
 
 func main() {
@@ -91,8 +90,8 @@ func run(shardIdx, shards, inc int, graphPath, advPath, network, sup, peers, jou
 	if err != nil {
 		return err
 	}
-	tab := view.NewTable()
-	factory, err := algorithms.NewElectFactory(tab, bits.New(strings.TrimSpace(string(advText))))
+	// The worker runs Elect on labels, which reads no view table.
+	factory, err := algorithms.NewElectFactory(nil, bits.New(strings.TrimSpace(string(advText))))
 	if err != nil {
 		return fmt.Errorf("decode advice: %w", err)
 	}
@@ -124,7 +123,7 @@ func run(shardIdx, shards, inc int, graphPath, advPath, network, sup, peers, jou
 
 	return shard.RunWorker(shard.WorkerConfig{
 		Shard: shardIdx, Inc: inc, Graph: g, Shards: shards,
-		Factory: factory, Table: tab,
+		Factory:   factory,
 		Transport: tr, Journal: jr,
 		Options:     shard.Options{Seed: seed, RoundTimeout: timeout},
 		CtrlNetwork: network, CtrlAddr: sup,

@@ -214,9 +214,12 @@ func (a Async) realize(ctx context.Context, tab *view.Table, g *Graph, f sim.Fac
 }
 
 // Sharded runs the rounds on the crash-tolerant sharded BSP engine
-// (internal/sim/shard): each of Shards contiguous node ranges exchanges
-// only boundary class ids per round. Outputs, Rounds, Time and Messages
-// are bit-identical to BSP's; the run also reports Result.ShardStats.
+// (internal/sim/shard): each of Shards contiguous node ranges sends its
+// peers one label per boundary node per round. Elect runs on its own
+// labels; a program that reads views runs through the engine's view
+// adapter, whose labels are view ids in the System's table. Outputs,
+// Rounds, Time and Messages are bit-identical to BSP's; the run also
+// reports Result.ShardStats.
 type Sharded struct {
 	// Shards is the number of node ranges; it must be at least 2.
 	Shards int

@@ -35,7 +35,7 @@ func main() {
 		ref.Leader, ref.Time, ref.Messages)
 
 	// Sharded, clean transport: three shards own contiguous node
-	// ranges and exchange only boundary view ids each round.
+	// ranges and exchange one label per boundary node each round.
 	res, err := s.RunMinTime(g, election.Options{Realization: election.Sharded{Shards: 3}})
 	if err != nil {
 		log.Fatal(err)

@@ -12,9 +12,10 @@ import (
 )
 
 // TestDecodeAllocBoundedByInput feeds the decoders short inputs whose
-// element counts claim 1<<24 entries: a 12-byte KindData frame and a
-// checkpoint record of a few bytes. Both must fail having allocated
-// less than 1 MB, not a slice sized by the claimed count.
+// element counts claim 1<<24 entries: a 12-byte KindData frame, and a
+// checkpoint and a ghost record of a few bytes each. Each must fail
+// having allocated less than 1 MB, not a slice sized by the claimed
+// label count.
 func TestDecodeAllocBoundedByInput(t *testing.T) {
 	frame := append(wireMagic[:], byte(KindData), 0, 0, 0, 0)
 	frame = binary.AppendUvarint(frame, maxWireCount)
@@ -25,7 +26,15 @@ func TestDecodeAllocBoundedByInput(t *testing.T) {
 	ck = binary.AppendUvarint(ck, 1) // round
 	ck = binary.AppendUvarint(ck, 0) // remaining
 	ck = binary.AppendUvarint(ck, maxWireCount)
-	r, err := fjOpen(seal(ck), fjKindCheckpoint, "ck-1.rec")
+	ckr, err := fjOpen(seal(ck), fjKindCheckpoint, "ck-1.rec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gh := fjHeader(fjKindGhosts)
+	gh = binary.AppendUvarint(gh, 1) // round
+	gh = binary.AppendUvarint(gh, 0) // peer
+	gh = binary.AppendUvarint(gh, maxWireCount)
+	ghr, err := fjOpen(seal(gh), fjKindGhosts, "gh-1-0.rec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,8 @@ func TestDecodeAllocBoundedByInput(t *testing.T) {
 		decode func() error
 	}{
 		{"data frame", func() error { _, err := decodeMessage(frame); return err }},
-		{"checkpoint", func() error { _, err := decodeCheckpoint(r); return err }},
+		{"checkpoint", func() error { _, err := decodeCheckpoint(ckr); return err }},
+		{"ghosts", func() error { _, err := decodeGhosts(ghr); return err }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -91,7 +91,7 @@ type Stats struct {
 	Crashes      int           // injected shard deaths observed
 	Recoveries   int           // replays completed by restarted shards
 	RecoveryTime time.Duration // total wall time spent replaying
-	Retries      int           // data/view messages resent beyond the first attempt
+	Retries      int           // data messages resent beyond the first attempt
 }
 
 // MeanRecovery returns the average replay time per completed recovery.
@@ -202,7 +202,10 @@ func newTopology(g *graph.Graph, shards int) *topology {
 // and is observationally identical to sim.RunBSP on every input —
 // same Outputs, Rounds, Time and Messages — under any fault schedule
 // the run survives (ClassViews is per-process bookkeeping and is not
-// reproduced).
+// reproduced). When every decider f makes is a sim.LabelProgram — the
+// rule RunBSP applies — the workers run them on labels and tab is
+// unused; otherwise they run each decider through the view adapter,
+// which interns into tab (adapter.go).
 func Run(tab *view.Table, g *graph.Graph, f sim.Factory, opt Options) (*sim.Result, *Stats, error) {
 	return RunCtx(context.Background(), tab, g, f, opt)
 }
@@ -348,15 +351,13 @@ func (c *coord) handle(rep report) (done bool, err error) {
 // messages are channels, and the transport defaults to a ChanTransport.
 type engine struct {
 	topo *topology
-	tab  *view.Table
 	f    sim.Factory
 	opt  Options
-
-	tr Transport
-	jr Journal
-	// index resolves boundary ids for every worker and every
-	// incarnation: all of them intern into tab (see views.go).
-	index *viewIndex
+	tr   Transport
+	jr   Journal
+	// views is the view adapter every worker and every incarnation
+	// shares, or nil when the deciders are label programs.
+	views *viewLabels
 
 	reports chan report
 	ctrl    []chan ctrlMsg
@@ -379,8 +380,11 @@ func RunCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f sim.Factory,
 		return nil, nil, fmt.Errorf("shard: a sharded run needs at least 2 shards, got %d over %d nodes", opt.Shards, n)
 	}
 
-	e := &engine{topo: newTopology(g, shards), tab: tab, f: f, opt: opt, tr: opt.Transport, jr: opt.Journal,
-		index: newViewIndex()}
+	e := &engine{topo: newTopology(g, shards), f: f, opt: opt, tr: opt.Transport, jr: opt.Journal}
+	if !labelPrograms(g, f) {
+		e.views = newViewLabels(tab)
+		e.f = e.views.wrap(f)
+	}
 	if e.tr == nil {
 		e.tr = NewChanTransport(shards)
 	}
@@ -478,19 +482,32 @@ func RunCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f sim.Factory,
 	}
 }
 
-// worker is one shard incarnation: the range's deciders, node views
-// and the boundary-protocol state. A fresh one is built per
-// restart; everything durable lives in the journal and everything
-// shared in the topology — the supervisor plumbing (emit, ctrlRecv,
-// halted) is injected, so the same worker runs as a goroutine of the
-// in-process engine or as the core of a worker process (RunWorker).
+// labelPrograms reports whether f makes every node of g a
+// sim.LabelProgram. It drops what f makes: every worker incarnation
+// makes its own deciders, which may be stateful.
+func labelPrograms(g *graph.Graph, f sim.Factory) bool {
+	for v := range g.N() {
+		if _, ok := f(v, g.Deg(v)).(sim.LabelProgram); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// worker is one shard incarnation: the range's label programs, the
+// labels of its nodes and ghosts, and the boundary-protocol state. A
+// fresh one is built per restart; everything durable lives in the
+// journal and everything shared in the topology — the supervisor
+// plumbing (emit, ctrlRecv, halted) is injected, so the same worker
+// runs as a goroutine of the in-process engine or as the core of a
+// worker process (RunWorker).
 type worker struct {
-	topo *topology
-	tab  *view.Table
-	f    sim.Factory
-	opt  Options
-	tr   Transport
-	jr   Journal
+	topo  *topology
+	f     sim.Factory
+	opt   Options
+	tr    Transport
+	jr    Journal
+	views *viewLabels // the in-process view adapter, or nil
 
 	s    int
 	lo   int
@@ -502,41 +519,29 @@ type worker struct {
 	halted   func() bool            // engine-wide kill switch
 	retries  *atomic.Int64
 
-	deciders  []sim.Decider
+	progs     []sim.LabelProgram
 	done      []bool
 	remaining int
 
-	// views[i] is local node lo+i's interned view at the current depth;
-	// views[size+s] is ghost slot s's, set by resolveGhosts each round.
-	views []*view.View
-	// The range's static edge matrix in local-port order: node i's row
-	// is flat[off[i]:off[i+1]] with its remote ports fixed at init, and
-	// step reads each half-edge's child from views[src[e]].
-	flat []view.Edge
-	off  []int32
-	src  []int32
-	ids  []uint64 // checkpoint buffer: views[i].ID() per local node
+	// labels[i] is local node lo+i's label at the current round;
+	// labels[size+s] is ghost slot s's, filled by exchange each round.
+	// step computes the next round's local labels into next.
+	labels []int32
+	next   []int32
+	// The range's half-edges in local-port order: node i's are
+	// src[off[i]:off[i+1]], each the labels slot of its far end.
+	off []int32
+	src []int32
+	buf []int32 // 2 × the largest local degree: one step's arguments
 
-	// Ghost slot s holds global node ghosts[s], owned by ghostPeer[s];
-	// the slots of peer p are that peer's send list to this shard.
-	ghosts    []int32
-	ghostIDs  []uint64
-	ghostSeg  map[int][2]int // peer → (first slot, count) of its ghosts
-	ghostPeer []int
+	// Ghost slot s holds global node ghosts[s]; the slots of peer p are
+	// that peer's send list to this shard.
+	ghosts   []int32
+	ghostSeg map[int][2]int // peer → (first slot, count) of its ghosts
 
 	// pending[(round,peer)] marks boundary payloads already journaled,
 	// so exchanges consume journal-first and duplicates only re-ack.
-	pending map[[2]int][]uint64
-
-	// Ghost ids resolve through index when every shard interns into
-	// one table (the in-process engine), else through shipped view
-	// bodies: store holds those received per peer (journal-backed), and
-	// ship[p] the view ids peer p has acked — the per-peer sent-set that
-	// makes each body cross the wire once per sender incarnation. store
-	// and ship are nil when index is set.
-	index *viewIndex
-	store *viewStore
-	ship  map[int]map[uint64]bool
+	pending map[[2]int][]int32
 
 	// hwm is the highest round this shard has ever reported (across
 	// incarnations — seeded from the journal on restart). Peers can be
@@ -550,9 +555,23 @@ type worker struct {
 	rng *rand.Rand
 }
 
+// NotLabelProgramError reports a decider a worker cannot run: workers
+// run sim.LabelProgram's recursion only, and only RunCtx wraps other
+// deciders in the view adapter. RunWorker returns it for a view
+// decider.
+type NotLabelProgramError struct {
+	Shard int
+	Node  int // global id of the first node whose decider is not one
+}
+
+func (e *NotLabelProgramError) Error() string {
+	return fmt.Sprintf("shard: shard %d: node %d's decider is not a sim.LabelProgram, and worker processes run label programs only",
+		e.Shard, e.Node)
+}
+
 func (e *engine) newWorker(s, incarnation int) *worker {
 	return &worker{
-		topo: e.topo, tab: e.tab, f: e.f, opt: e.opt, tr: e.tr, jr: e.jr, index: e.index,
+		topo: e.topo, f: e.f, opt: e.opt, tr: e.tr, jr: e.jr, views: e.views,
 		s: s, inc: incarnation, lo: e.topo.ranges[s][0], size: e.topo.ranges[s][1] - e.topo.ranges[s][0],
 		emit: func(rep report) error { e.reports <- rep; return nil },
 		ctrlRecv: func() (ctrlMsg, bool) {
@@ -575,8 +594,11 @@ func (e *engine) runWorker(s, incarnation int) {
 			e.reports <- report{kind: reportErr, shard: s, err: fmt.Errorf("shard: shard %d panicked: %v", s, p)}
 		}
 	}()
-	w.init()
-	if err := w.run(); err != nil {
+	err := w.init()
+	if err == nil {
+		err = w.run()
+	}
+	if err != nil {
 		var crash *CrashError
 		if errors.As(err, &crash) {
 			e.reports <- report{kind: reportCrashed, shard: s}
@@ -586,11 +608,20 @@ func (e *engine) runWorker(s, incarnation int) {
 	}
 }
 
-func (w *worker) init() {
+// init builds the range's programs and its half-edge map, and sets
+// every local node's round-0 label: its degree.
+func (w *worker) init() error {
 	g := w.topo.g
-	w.deciders = make([]sim.Decider, w.size)
-	for i := 0; i < w.size; i++ {
-		w.deciders[i] = w.f(w.lo+i, g.Deg(w.lo+i))
+	w.progs = make([]sim.LabelProgram, w.size)
+	maxDeg := 0
+	for i := range w.size {
+		v := w.lo + i
+		p, ok := w.f(v, g.Deg(v)).(sim.LabelProgram)
+		if !ok {
+			return &NotLabelProgramError{Shard: w.s, Node: v}
+		}
+		w.progs[i] = p
+		maxDeg = max(maxDeg, g.Deg(v))
 	}
 	w.done = make([]bool, w.size)
 	w.remaining = w.size
@@ -602,53 +633,35 @@ func (w *worker) init() {
 		list := w.topo.sendList[p][w.s]
 		w.ghostSeg[p] = [2]int{len(w.ghosts), len(list)}
 		w.ghosts = append(w.ghosts, list...)
-		for range list {
-			w.ghostPeer = append(w.ghostPeer, p)
-		}
 	}
-	w.ghostIDs = make([]uint64, len(w.ghosts))
 
 	w.off = make([]int32, w.size+1)
 	for i := 0; i < w.size; i++ {
 		w.off[i+1] = w.off[i] + int32(g.Deg(w.lo+i))
 	}
-	w.flat = make([]view.Edge, w.off[w.size])
 	w.src = make([]int32, w.off[w.size])
 	for i := 0; i < w.size; i++ {
 		for j := range g.Deg(w.lo + i) {
-			h := g.At(w.lo+i, j)
 			e := w.off[i] + int32(j)
-			w.flat[e].RemotePort = h.RemotePort
-			if u := h.To - w.lo; u >= 0 && u < w.size {
+			if u := g.Neighbor(w.lo+i, j) - w.lo; u >= 0 && u < w.size {
 				w.src[e] = int32(u)
 			} else {
-				slot, _ := slices.BinarySearch(w.ghosts, int32(h.To))
+				slot, _ := slices.BinarySearch(w.ghosts, int32(u+w.lo))
 				w.src[e] = int32(w.size + slot)
 			}
 		}
 	}
+	w.buf = make([]int32, 2*maxDeg)
 
-	w.pending = map[[2]int][]uint64{}
-	if w.index == nil {
-		w.store = newViewStore()
-		w.ship = map[int]map[uint64]bool{}
-	}
+	w.pending = map[[2]int][]int32{}
 	w.rng = rand.New(rand.NewSource(w.opt.Seed ^ int64(w.s)*0x9E3779B9 ^ int64(w.inc)<<32))
 
-	// Depth 0: the interned leaf of each node's degree.
-	w.views = make([]*view.View, w.size+len(w.ghosts))
-	for i := 0; i < w.size; i++ {
-		w.views[i] = w.tab.Leaf(g.Deg(w.lo + i))
+	w.labels = make([]int32, w.size+len(w.ghosts))
+	w.next = make([]int32, w.size)
+	for i := range w.size {
+		w.labels[i] = int32(g.Deg(w.lo + i))
 	}
-}
-
-func (w *worker) shipOf(p int) map[uint64]bool {
-	m := w.ship[p]
-	if m == nil {
-		m = map[uint64]bool{}
-		w.ship[p] = m
-	}
-	return m
+	return nil
 }
 
 // run replays the journal (rounds with checkpoints) and then runs live.
@@ -668,14 +681,7 @@ func (w *worker) run() error {
 		}
 	}
 	for _, gr := range restored.Ghosts {
-		w.pending[[2]int{gr.Round, gr.Peer}] = gr.IDs
-	}
-	if w.index == nil {
-		for peer, vs := range restored.Views {
-			if err := w.store.add(peer, vs); err != nil {
-				return &JournalError{Shard: w.s, Op: "restore", Err: fmt.Errorf("%w: %w", ErrJournalCorrupt, err)}
-			}
-		}
+		w.pending[[2]int{gr.Round, gr.Peer}] = gr.Labels
 	}
 	replayTo := len(restored.Records)
 	w.hwm = replayTo - 1
@@ -695,6 +701,9 @@ func (w *worker) run() error {
 			}
 		}
 		decs := w.sweep(r)
+		if err := w.views.failure(); err != nil {
+			return err
+		}
 		if r < replayTo {
 			if err := w.validate(restored.Records[r], decs); err != nil {
 				return err
@@ -728,20 +737,17 @@ func (w *worker) run() error {
 			}
 			return err
 		}
-		if err := w.step(); err != nil {
-			return err
-		}
+		w.step(r + 1)
 	}
 }
 
 func (w *worker) sweep(r int) []Decision {
 	var decs []Decision
-	for i := 0; i < w.size; i++ {
+	for i, p := range w.progs {
 		if w.done[i] {
 			continue
 		}
-		out, ok := w.deciders[i].Decide(r, w.views[i])
-		if ok {
+		if out, ok := p.DecideLabel(r, w.labels[i]); ok {
 			w.done[i] = true
 			w.remaining--
 			decs = append(decs, Decision{Node: w.lo + i, Round: r, Output: out})
@@ -753,35 +759,27 @@ func (w *worker) sweep(r int) []Decision {
 // validate pins a replayed round to its checkpoint: a divergence means
 // the deciders are not deterministic (or the journal is corrupt), and
 // silently proceeding could publish different bits than the crashed
-// incarnation already reported. The view ids compared are table-local:
-// a restarted process interns views in a deterministic order (node
-// leaves, ghost slots, node batches — never on a transport or journal
-// path), so a faithful replay reproduces them bit-for-bit even in a
-// fresh table.
+// incarnation already reported.
 func (w *worker) validate(rec Record, decs []Decision) error {
 	if rec.Remaining != w.remaining || len(rec.Decided) != len(decs) {
 		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d remaining / %d decisions, checkpoint has %d / %d",
 			w.s, rec.Round, w.remaining, len(decs), rec.Remaining, len(rec.Decided))
 	}
-	if len(rec.ViewIDs) != w.size {
-		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d nodes, checkpoint has %d view ids",
-			w.s, rec.Round, w.size, len(rec.ViewIDs))
+	if len(rec.Labels) != w.size {
+		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d nodes, checkpoint has %d labels",
+			w.s, rec.Round, w.size, len(rec.Labels))
 	}
-	for i, id := range rec.ViewIDs {
-		if got := w.views[i].ID(); got != id {
-			return fmt.Errorf("shard: shard %d replay diverged at round %d: node %d view id %d, checkpoint has %d",
-				w.s, rec.Round, w.lo+i, got, id)
+	for i, l := range rec.Labels {
+		if w.labels[i] != l {
+			return fmt.Errorf("shard: shard %d replay diverged at round %d: node %d label %d, checkpoint has %d",
+				w.s, rec.Round, w.lo+i, w.labels[i], l)
 		}
 	}
 	return nil
 }
 
 func (w *worker) checkpoint(r int, decs []Decision) error {
-	w.ids = w.ids[:0]
-	for _, v := range w.views[:w.size] {
-		w.ids = append(w.ids, v.ID())
-	}
-	if err := w.jr.Checkpoint(w.s, Record{Round: r, ViewIDs: w.ids, Decided: decs, Remaining: w.remaining}); err != nil {
+	if err := w.jr.Checkpoint(w.s, Record{Round: r, Labels: w.labels[:w.size], Decided: decs, Remaining: w.remaining}); err != nil {
 		return &JournalError{Shard: w.s, Op: "checkpoint", Err: err}
 	}
 	return nil
@@ -811,7 +809,7 @@ func (w *worker) pollCtrl(want int) (proceed, stop bool) {
 // barrier waits for the supervisor to grant round r, servicing the
 // mailbox meanwhile: a peer still retrying an earlier round must get
 // its ack even though this shard has moved on, or a single dropped ack
-// would wedge both sides.
+// would wedge both sides. Stale acks are dropped.
 func (w *worker) barrier(r int) (stop bool, err error) {
 	for {
 		proceed, stopped := w.pollCtrl(r)
@@ -821,24 +819,12 @@ func (w *worker) barrier(r int) (stop bool, err error) {
 		if proceed {
 			return false, nil
 		}
-		if m, ok := w.tr.Recv(w.s, 200*time.Microsecond); ok {
-			if err := w.service(m); err != nil {
+		if m, ok := w.tr.Recv(w.s, 200*time.Microsecond); ok && m.Kind == KindData {
+			if err := w.acceptData(m); err != nil {
 				return false, err
 			}
 		}
 	}
-}
-
-// service dispatches an incoming data-plane message outside the
-// exchange loop (barrier waits); stale acks are dropped.
-func (w *worker) service(m Message) error {
-	switch m.Kind {
-	case KindData:
-		return w.acceptData(m)
-	case KindView:
-		return w.acceptViews(m)
-	}
-	return nil
 }
 
 // acceptData journals and acks an incoming data message (duplicates
@@ -851,158 +837,85 @@ func (w *worker) acceptData(m Message) error {
 	}
 	seg, ok := w.ghostSeg[m.From]
 	if !ok || len(m.Payload) != seg[1] {
-		return fmt.Errorf("shard: shard %d received malformed boundary payload from shard %d (%d ids, want %d)",
+		return fmt.Errorf("shard: shard %d received malformed boundary payload from shard %d (%d labels, want %d)",
 			w.s, m.From, len(m.Payload), seg[1])
 	}
 	key := [2]int{m.Round, m.From}
 	if _, have := w.pending[key]; !have {
-		ids := append([]uint64(nil), m.Payload...)
-		if err := w.jr.Ghosts(w.s, GhostRecord{Round: m.Round, Peer: m.From, IDs: ids}); err != nil {
+		labels := append([]int32(nil), m.Payload...)
+		if err := w.jr.Ghosts(w.s, GhostRecord{Round: m.Round, Peer: m.From, Labels: labels}); err != nil {
 			return &JournalError{Shard: w.s, Op: "ghosts", Err: err}
 		}
-		w.pending[key] = ids
+		w.pending[key] = labels
 	}
-	return w.send(Message{From: w.s, To: m.From, Kind: KindAck, Round: m.Round, Seq: m.Seq, AckOf: KindData})
+	return w.tr.Send(Message{From: w.s, To: m.From, Kind: KindAck, Round: m.Round, Seq: m.Seq})
 }
 
-// acceptViews validates, journals and acks a batch of shipped view
-// bodies. Bodies already stored are not re-journaled; the ack covers
-// the whole batch (journal strictly before ack, so acked views survive
-// a crash and the sender may retire them from its sent-set for good).
-// Workers that share one table never ship bodies, so they reject any.
-func (w *worker) acceptViews(m Message) error {
-	if w.index != nil {
-		return fmt.Errorf("shard: shard %d received view bodies from shard %d, but every shard interns into one table", w.s, m.From)
-	}
-	if m.Round > w.hwm {
-		return fmt.Errorf("shard: shard %d received round-%d views from shard %d with high-water mark %d", w.s, m.Round, m.From, w.hwm)
-	}
-	if _, ok := w.ghostSeg[m.From]; !ok {
-		return fmt.Errorf("shard: shard %d received views from non-peer shard %d", w.s, m.From)
-	}
-	for _, v := range m.Views {
-		if err := checkWireView(v); err != nil {
-			return fmt.Errorf("shard: shard %d rejected view batch from shard %d: %w", w.s, m.From, err)
-		}
-	}
-	if fresh := w.store.missing(m.From, m.Views); len(fresh) > 0 {
-		if err := w.jr.Views(w.s, m.From, fresh); err != nil {
-			return &JournalError{Shard: w.s, Op: "views", Err: err}
-		}
-		if err := w.store.add(m.From, fresh); err != nil {
-			return err
-		}
-	}
-	return w.send(Message{From: w.s, To: m.From, Kind: KindAck, Round: m.Round, Seq: m.Seq, AckOf: KindView})
-}
-
-func (w *worker) send(m Message) error {
-	return w.tr.Send(m)
-}
-
-// exchange completes round r's boundary swap: every peer's ghost ids
-// journaled locally and resolvable, and every outgoing payload (and,
-// between workers with their own tables, view batch) acked. Journaled
-// legs (recovery, or data that arrived early during the barrier wait)
-// are served without touching the transport; live legs run the
-// seq/ack/retry protocol under the round deadline, data and view legs
-// retiring independently.
+// exchange completes round r's boundary swap: every peer's ghost labels
+// journaled locally and copied into the ghost slots, and every outgoing
+// payload acked. Journaled legs (recovery, or data that arrived early
+// during the barrier wait) are served without touching the transport;
+// live legs run the seq/ack/retry protocol under the round deadline.
 func (w *worker) exchange(r int, live bool) error {
-	// fill copies the journaled payload of peer p into the ghost slots
-	// once its ids are resolvable: at once with a shared table (the
-	// sender published them before sending), else when the stored view
-	// bodies cover them.
 	fill := func(p int) bool {
-		ids, ok := w.pending[[2]int{r, p}]
-		if !ok || (w.index == nil && !w.store.complete(p, ids)) {
-			return false
+		labels, ok := w.pending[[2]int{r, p}]
+		if ok {
+			seg := w.ghostSeg[p]
+			copy(w.labels[w.size+seg[0]:w.size+seg[0]+seg[1]], labels)
 		}
-		seg := w.ghostSeg[p]
-		copy(w.ghostIDs[seg[0]:seg[0]+seg[1]], ids)
-		return true
+		return ok
 	}
-	needData := map[int]bool{} // inbound: no journaled payload yet
-	needView := map[int]bool{} // inbound: payload present, bodies missing
+	need := map[int]bool{} // inbound: no journaled payload yet
 	for _, p := range w.topo.peers[w.s] {
-		seg := w.ghostSeg[p]
-		if seg[1] == 0 {
-			continue
-		}
-		if !fill(p) {
-			if _, ok := w.pending[[2]int{r, p}]; ok {
-				needView[p] = true
-			} else {
-				needData[p] = true
-			}
+		if w.ghostSeg[p][1] > 0 && !fill(p) {
+			need[p] = true
 		}
 	}
-	unackedData := map[int][]uint64{}
-	unackedViews := map[int][]WireView{}
+	unacked := map[int][]int32{}
 	if live {
 		for _, p := range w.topo.peers[w.s] {
 			list := w.topo.sendList[w.s][p]
 			if len(list) == 0 {
 				continue
 			}
-			payload := make([]uint64, len(list))
-			roots := make([]*view.View, len(list))
-			for i, id := range list {
-				v := w.views[int(id)-w.lo]
-				roots[i] = v
-				payload[i] = v.ID()
+			payload := make([]int32, len(list))
+			for i, v := range list {
+				payload[i] = w.labels[int(v)-w.lo]
 			}
-			unackedData[p] = payload
-			if w.index != nil {
-				w.index.publish(roots)
-			} else if batch := viewClosure(w.shipOf(p), roots, nil); len(batch) > 0 {
-				unackedViews[p] = batch
-			}
+			unacked[p] = payload
 		}
-	} else if len(needData)+len(needView) > 0 {
+	} else if len(need) > 0 {
 		return fmt.Errorf("shard: shard %d missing journaled ghosts for replayed round %d", w.s, r)
 	}
 
 	deadline := time.Now().Add(w.opt.roundTimeout())
 	nextSend := time.Now()
 	attempt := 0
-	for len(needData)+len(needView)+len(unackedData)+len(unackedViews) > 0 {
+	for len(need)+len(unacked) > 0 {
 		if _, stop := w.pollCtrl(r + 1); stop {
 			return errHalt // aborted mid-exchange
 		}
 		now := time.Now()
 		if now.After(deadline) {
-			return w.stuck(r, len(needData)+len(needView)+len(unackedData)+len(unackedViews))
+			return w.stuck(r, len(need)+len(unacked))
 		}
-		outbound := len(unackedData) + len(unackedViews)
-		if !now.Before(nextSend) && outbound > 0 {
+		if !now.Before(nextSend) && len(unacked) > 0 {
 			for _, p := range w.topo.peers[w.s] {
-				// Views before data, so a receiver that processes in
-				// order can resolve the payload on first delivery; the
-				// protocol does not rely on it.
-				if batch, ok := unackedViews[p]; ok {
-					w.seq++
-					m := Message{From: w.s, To: p, Kind: KindView, Round: r, Seq: w.seq, Views: batch}
-					if attempt > 0 {
-						// Resends clone: the first delivery (or the
-						// journal holding it) must never alias a slice a
-						// later send could expose to concurrent readers.
-						m = m.Clone()
-						w.retries.Add(1)
-					}
-					if err := w.send(m); err != nil {
-						return err
-					}
+				payload, ok := unacked[p]
+				if !ok {
+					continue
 				}
-				if payload, ok := unackedData[p]; ok {
-					w.seq++
-					m := Message{From: w.s, To: p, Kind: KindData, Round: r, Seq: w.seq, Payload: payload}
-					if attempt > 0 {
-						m = m.Clone()
-						w.retries.Add(1)
-					}
-					if err := w.send(m); err != nil {
-						return err
-					}
+				w.seq++
+				m := Message{From: w.s, To: p, Kind: KindData, Round: r, Seq: w.seq, Payload: payload}
+				if attempt > 0 {
+					// Resends clone: the first delivery (or the journal
+					// holding it) must never alias a slice a later send
+					// could expose to concurrent readers.
+					m = m.Clone()
+					w.retries.Add(1)
+				}
+				if err := w.tr.Send(m); err != nil {
+					return err
 				}
 			}
 			backoff := w.opt.retryBase() << uint(attempt)
@@ -1014,7 +927,7 @@ func (w *worker) exchange(r int, live bool) error {
 			attempt++
 		}
 		wait := 500 * time.Microsecond
-		if outbound > 0 {
+		if len(unacked) > 0 {
 			if until := time.Until(nextSend); until < wait {
 				wait = until
 			}
@@ -1031,36 +944,13 @@ func (w *worker) exchange(r int, live bool) error {
 			if err := w.acceptData(m); err != nil {
 				return err
 			}
-			if m.Round == r && needData[m.From] {
-				delete(needData, m.From)
-				if !fill(m.From) {
-					needView[m.From] = true
-				}
-			}
-		case KindView:
-			if err := w.acceptViews(m); err != nil {
-				return err
-			}
-			// Any accepted batch can complete the round's resolution —
-			// bodies are not round-scoped — so retry the fill without a
-			// round check.
-			if needView[m.From] && fill(m.From) {
-				delete(needView, m.From)
+			if m.Round == r && need[m.From] {
+				delete(need, m.From)
+				fill(m.From)
 			}
 		case KindAck:
-			if m.Round != r {
-				break // stale ack from an earlier round
-			}
-			if m.AckOf == KindView {
-				if batch, ok := unackedViews[m.From]; ok {
-					shipped := w.shipOf(m.From)
-					for _, v := range batch {
-						shipped[v.ID] = true
-					}
-					delete(unackedViews, m.From)
-				}
-			} else {
-				delete(unackedData, m.From)
+			if m.Round == r { // else a stale ack from an earlier round
+				delete(unacked, m.From)
 			}
 		}
 	}
@@ -1078,42 +968,29 @@ func (w *worker) stuck(r, pendingLegs int) error {
 		Reason: fmt.Sprintf("boundary exchange timed out after %v", w.opt.roundTimeout()), Stuck: stuck}
 }
 
-// step advances the shard one depth. By Proposition 2.1 a node's
-// depth-(l+1) view is its degree plus, port by port, the remote port
-// and the neighbour's depth-l view, which is exactly the row Table.Make
-// hash-conses; so one Make per local node, with children read from the
-// depth-l node and ghost views, yields every node's next view, and
-// equal views are one pointer without any refinement. Ghost ids resolve
-// here (resolveGhosts) and nowhere else, so the interning stream of a
-// worker is deterministic and survives process restarts (see views.go).
-func (w *worker) step() error {
-	if err := w.resolveGhosts(); err != nil {
-		return err
-	}
-	for e, u := range w.src {
-		w.flat[e].Child = w.views[u]
-	}
-	w.tab.MakeBatch(w.flat, w.off, w.views[:w.size])
-	return nil
-}
-
-// resolveGhosts sets every ghost slot's view from its id: by lookup in
-// the shared index, or by re-interning the shipped bodies into the
-// worker's own table in ghost-slot order.
-func (w *worker) resolveGhosts() error {
-	ghostViews := w.views[w.size:]
-	if w.index != nil {
-		if s := w.index.resolve(w.ghostIDs, ghostViews); s >= 0 {
-			return &UnknownViewError{Shard: w.s, Peer: w.ghostPeer[s], Node: int(w.ghosts[s]), ID: w.ghostIDs[s]}
+// step computes every local node's round-r label from round r−1's, as
+// sim.LabelProgram defines it: InitLabel on the node's ports and its
+// neighbours' degrees at round 1, StepLabel on its own and its
+// neighbours' labels after.
+func (w *worker) step(r int) {
+	g := w.topo.g
+	for i, p := range w.progs {
+		v := w.lo + i
+		deg := g.Deg(v)
+		if r == 1 {
+			remote, nbrDeg := w.buf[:deg], w.buf[deg:2*deg]
+			for j := range deg {
+				h := g.At(v, j)
+				remote[j], nbrDeg[j] = int32(h.RemotePort), int32(g.Deg(h.To))
+			}
+			w.next[i] = p.InitLabel(remote, nbrDeg)
+			continue
 		}
-		return nil
-	}
-	for s, id := range w.ghostIDs {
-		gv, err := w.store.resolve(w.tab, w.ghostPeer[s], id)
-		if err != nil {
-			return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, w.ghosts[s], err)
+		nbr := w.buf[:deg]
+		for j, u := range w.src[w.off[i]:w.off[i+1]] {
+			nbr[j] = w.labels[u]
 		}
-		ghostViews[s] = gv
+		w.next[i] = p.StepLabel(r, w.labels[i], nbr)
 	}
-	return nil
+	copy(w.labels, w.next)
 }

@@ -87,7 +87,7 @@ func (t *FaultTransport) Send(m Message) error {
 	dup := t.inj.Trip(FaultDup)
 	// Every extra delivery an injection manufactures (a duplicate, a
 	// delayed copy, a held-back original) is a deep Clone: the caller
-	// retains its Payload/Views buffers for resends, and an aliased
+	// retains its Payload buffer for resends, and an aliased
 	// injected copy surfacing later — possibly on another goroutine —
 	// would be a data race, not just a protocol duplicate. Pinned by
 	// TestFaultTransportCloneAliasing.

@@ -29,12 +29,11 @@ import (
 //
 //	s<shard>/ck-<round>.rec        checkpoint Record
 //	s<shard>/gh-<round>-<peer>.rec ghost payload GhostRecord
-//	s<shard>/vw-<peer>-<ordinal>.rec view-body batch from peer
 //	s<shard>/tmp-*                 staging (never read)
 //
-// All record bodies are varint-encoded (wire.go's idiom) behind a
-// 3-byte magic and a kind byte, with a little-endian CRC-32C of
-// everything before it as the last 4 bytes.
+// All record bodies are varint-encoded (wire.go's idiom, labels as
+// zigzag varints) behind a 3-byte magic and a kind byte, with a
+// little-endian CRC-32C of everything before it as the last 4 bytes.
 //
 // The FS is pluggable so the chaos suite can inject write/read/rename
 // failures and torn writes with store.FaultFS; production passes nil
@@ -44,20 +43,14 @@ type FileJournal struct {
 	root string
 
 	mu    sync.Mutex
-	state map[int]*fjShard
+	ready map[int]bool // shards whose directory exists
 }
 
-type fjShard struct {
-	ready   bool
-	viewSeq map[int]int // peer → next vw- ordinal
-}
-
-var fjMagic = [3]byte{'S', 'J', '2'}
+var fjMagic = [3]byte{'S', 'J', '3'}
 
 const (
 	fjKindCheckpoint = 'C'
 	fjKindGhosts     = 'G'
-	fjKindViews      = 'V'
 )
 
 // NewFileJournal returns a journal rooted at dir on fsys (nil fsys
@@ -66,43 +59,24 @@ func NewFileJournal(fsys store.FS, dir string) *FileJournal {
 	if fsys == nil {
 		fsys = store.OSFS{}
 	}
-	return &FileJournal{fs: fsys, root: dir, state: map[int]*fjShard{}}
+	return &FileJournal{fs: fsys, root: dir, ready: map[int]bool{}}
 }
 
 func (j *FileJournal) dir(shard int) string {
 	return filepath.Join(j.root, fmt.Sprintf("s%d", shard))
 }
 
-// ensure creates the shard directory and primes the per-peer view
-// ordinals from the files already present, so a journal handle opened
-// by a restarted process never reuses (and silently overwrites) a
-// committed ordinal. Callers hold j.mu.
-func (j *FileJournal) ensure(shard int) (*fjShard, error) {
-	st := j.state[shard]
-	if st != nil && st.ready {
-		return st, nil
+// ensure creates the shard directory once per handle. Callers hold
+// j.mu.
+func (j *FileJournal) ensure(shard int) error {
+	if j.ready[shard] {
+		return nil
 	}
-	if st == nil {
-		st = &fjShard{viewSeq: map[int]int{}}
-		j.state[shard] = st
+	if err := j.fs.MkdirAll(j.dir(shard)); err != nil {
+		return fmt.Errorf("shard: create journal dir: %w", err)
 	}
-	dir := j.dir(shard)
-	if err := j.fs.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("shard: create journal dir: %w", err)
-	}
-	names, err := j.fs.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("shard: scan journal dir: %w", err)
-	}
-	for _, name := range names {
-		if peer, ord, ok := parseTwo(name, "vw-"); ok {
-			if ord >= st.viewSeq[peer] {
-				st.viewSeq[peer] = ord + 1
-			}
-		}
-	}
-	st.ready = true
-	return st, nil
+	j.ready[shard] = true
+	return nil
 }
 
 // parseTwo parses "<prefix><a>-<b>.rec" names.
@@ -185,145 +159,65 @@ func (j *FileJournal) commit(dir, name string, data []byte) error {
 func (j *FileJournal) Checkpoint(shard int, rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.ensure(shard); err != nil {
+	if err := j.ensure(shard); err != nil {
 		return err
 	}
+	return j.commit(j.dir(shard), fmt.Sprintf("ck-%d.rec", rec.Round), encodeCheckpoint(rec))
+}
+
+// encodeCheckpoint returns the sealed record of rec.
+func encodeCheckpoint(rec Record) []byte {
 	buf := fjHeader(fjKindCheckpoint)
 	buf = binary.AppendUvarint(buf, uint64(rec.Round))
 	buf = binary.AppendUvarint(buf, uint64(rec.Remaining))
-	buf = binary.AppendUvarint(buf, uint64(len(rec.ViewIDs)))
-	for _, id := range rec.ViewIDs {
-		buf = binary.AppendUvarint(buf, id)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Decided)))
-	for _, d := range rec.Decided {
-		buf = binary.AppendUvarint(buf, uint64(d.Node))
-		buf = binary.AppendUvarint(buf, uint64(d.Round))
-		buf = binary.AppendUvarint(buf, uint64(len(d.Output)))
-		for _, o := range d.Output {
-			buf = binary.AppendVarint(buf, int64(o))
-		}
-	}
-	return j.commit(j.dir(shard), fmt.Sprintf("ck-%d.rec", rec.Round), seal(buf))
+	buf = appendLabels(buf, rec.Labels)
+	buf = appendDecisions(buf, rec.Decided)
+	return seal(buf)
 }
 
 func decodeCheckpoint(r *wireReader) (Record, error) {
-	var rec Record
-	rec.Round = r.num("round")
-	rec.Remaining = r.num("remaining")
-	n := r.count("view id count")
-	if r.err == nil && n > 0 {
-		rec.ViewIDs = make([]uint64, n)
-		for i := range rec.ViewIDs {
-			rec.ViewIDs[i] = r.uvarint("view id")
-		}
-	}
-	n = r.count("decision count")
-	for i := 0; i < n && r.err == nil; i++ {
-		d := Decision{Node: r.num("node"), Round: r.num("round")}
-		oc := r.count("output count")
-		d.Output = []int{} // non-nil even when empty, like the wire decoder
-		for k := 0; k < oc && r.err == nil; k++ {
-			d.Output = append(d.Output, r.varint("output"))
-		}
-		rec.Decided = append(rec.Decided, d)
-	}
-	if r.err == nil && len(r.data) != 0 {
-		r.fail("%d trailing bytes", len(r.data))
-	}
+	rec := Record{Round: r.num("round"), Remaining: r.num("remaining")}
+	rec.Labels = r.labels("label")
+	rec.Decided = r.decisions()
+	r.end()
 	return rec, r.err
 }
 
 func (j *FileJournal) Ghosts(shard int, gr GhostRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.ensure(shard); err != nil {
+	if err := j.ensure(shard); err != nil {
 		return err
 	}
+	return j.commit(j.dir(shard), fmt.Sprintf("gh-%d-%d.rec", gr.Round, gr.Peer), encodeGhosts(gr))
+}
+
+// encodeGhosts returns the sealed record of gr.
+func encodeGhosts(gr GhostRecord) []byte {
 	buf := fjHeader(fjKindGhosts)
 	buf = binary.AppendUvarint(buf, uint64(gr.Round))
 	buf = binary.AppendUvarint(buf, uint64(gr.Peer))
-	buf = binary.AppendUvarint(buf, uint64(len(gr.IDs)))
-	for _, id := range gr.IDs {
-		buf = binary.AppendUvarint(buf, id)
-	}
-	return j.commit(j.dir(shard), fmt.Sprintf("gh-%d-%d.rec", gr.Round, gr.Peer), seal(buf))
+	buf = appendLabels(buf, gr.Labels)
+	return seal(buf)
 }
 
 func decodeGhosts(r *wireReader) (GhostRecord, error) {
-	var gr GhostRecord
-	gr.Round = r.num("round")
-	gr.Peer = r.num("peer")
-	n := r.count("id count")
-	if r.err == nil && n > 0 {
-		gr.IDs = make([]uint64, n)
-		for i := range gr.IDs {
-			gr.IDs[i] = r.uvarint("ghost id")
-		}
-	}
-	if r.err == nil && len(r.data) != 0 {
-		r.fail("%d trailing bytes", len(r.data))
-	}
+	gr := GhostRecord{Round: r.num("round"), Peer: r.num("peer")}
+	gr.Labels = r.labels("ghost label")
+	r.end()
 	return gr, r.err
 }
 
-func (j *FileJournal) Views(shard, peer int, views []WireView) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st, err := j.ensure(shard)
-	if err != nil {
-		return err
-	}
-	buf := fjHeader(fjKindViews)
-	buf = binary.AppendUvarint(buf, uint64(peer))
-	buf = binary.AppendUvarint(buf, uint64(len(views)))
-	for _, v := range views {
-		buf = binary.AppendUvarint(buf, v.ID)
-		buf = binary.AppendUvarint(buf, uint64(v.Depth))
-		buf = binary.AppendUvarint(buf, uint64(v.Deg))
-		buf = binary.AppendUvarint(buf, uint64(len(v.Edges)))
-		for _, e := range v.Edges {
-			buf = binary.AppendUvarint(buf, uint64(e.RemotePort))
-			buf = binary.AppendUvarint(buf, e.Child)
-		}
-	}
-	ord := st.viewSeq[peer]
-	if err := j.commit(j.dir(shard), fmt.Sprintf("vw-%d-%d.rec", peer, ord), seal(buf)); err != nil {
-		return err
-	}
-	st.viewSeq[peer] = ord + 1
-	return nil
-}
-
-func decodeViews(r *wireReader) (peer int, views []WireView, err error) {
-	peer = r.num("peer")
-	n := r.count("view count")
-	for i := 0; i < n && r.err == nil; i++ {
-		var v WireView
-		v.ID = r.uvarint("view id")
-		v.Depth = r.num("depth")
-		v.Deg = r.num("degree")
-		ec := r.count("edge count")
-		for k := 0; k < ec && r.err == nil; k++ {
-			v.Edges = append(v.Edges, WireEdge{RemotePort: r.num("port"), Child: r.uvarint("child")})
-		}
-		if r.err == nil {
-			if cerr := checkWireView(v); cerr != nil {
-				return 0, nil, cerr
-			}
-		}
-		views = append(views, v)
-	}
-	if r.err == nil && len(r.data) != 0 {
-		r.fail("%d trailing bytes", len(r.data))
-	}
-	return peer, views, r.err
-}
+// Views stores nothing.
+//
+// Deprecated: kept only to implement Journal.Views, which
+// benchmark/trace.go compiles against.
+func (j *FileJournal) Views(shard, peer int, views []WireView) error { return nil }
 
 func (j *FileJournal) Restore(shard int) (Restored, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.ensure(shard); err != nil {
+	if err := j.ensure(shard); err != nil {
 		return Restored{}, err
 	}
 	dir := j.dir(shard)
@@ -333,11 +227,6 @@ func (j *FileJournal) Restore(shard int) (Restored, error) {
 	}
 	sort.Strings(names)
 	var out Restored
-	type vwFile struct {
-		peer, ord int
-		name      string
-	}
-	var vws []vwFile
 	for _, name := range names {
 		path := filepath.Join(dir, name)
 		switch {
@@ -383,44 +272,8 @@ func (j *FileJournal) Restore(shard int) (Restored, error) {
 				return Restored{}, fmt.Errorf("%w: %s: %w", ErrJournalCorrupt, path, err)
 			}
 			out.Ghosts = append(out.Ghosts, gr)
-		case strings.HasPrefix(name, "vw-"):
-			peer, ord, ok := parseTwo(name, "vw-")
-			if !ok {
-				return Restored{}, fmt.Errorf("%w: unparsable name %s", ErrJournalCorrupt, path)
-			}
-			vws = append(vws, vwFile{peer: peer, ord: ord, name: name})
 		}
 	}
 	sort.Slice(out.Records, func(a, b int) bool { return out.Records[a].Round < out.Records[b].Round })
-	// View batches replay per peer in commit order, so the store sees
-	// bodies in the order the crashed incarnation journaled them.
-	sort.Slice(vws, func(a, b int) bool {
-		if vws[a].peer != vws[b].peer {
-			return vws[a].peer < vws[b].peer
-		}
-		return vws[a].ord < vws[b].ord
-	})
-	for _, f := range vws {
-		path := filepath.Join(dir, f.name)
-		data, err := j.fs.ReadFile(path)
-		if err != nil {
-			return Restored{}, fmt.Errorf("shard: read views: %w", err)
-		}
-		r, err := fjOpen(data, fjKindViews, path)
-		if err != nil {
-			return Restored{}, err
-		}
-		peer, views, err := decodeViews(r)
-		if err != nil {
-			return Restored{}, fmt.Errorf("%w: %s: %w", ErrJournalCorrupt, path, err)
-		}
-		if peer != f.peer {
-			return Restored{}, fmt.Errorf("%w: %s: contains peer %d", ErrJournalCorrupt, path, peer)
-		}
-		if out.Views == nil {
-			out.Views = map[int][]WireView{}
-		}
-		out.Views[peer] = append(out.Views[peer], views...)
-	}
 	return out, nil
 }

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -17,15 +19,15 @@ import (
 func sampleRecord(round int) Record {
 	return Record{
 		Round:     round,
-		ViewIDs:   []uint64{10, 11, 11, 12},
+		Labels:    []int32{10, 11, 11, -12},
 		Decided:   []Decision{{Node: 3, Round: round, Output: []int{1, -4, 0}}},
 		Remaining: 7 - round,
 	}
 }
 
-// TestFileJournalRoundTrip commits checkpoints, ghosts and view batches
-// and reads them back through Restore: sorted contiguous records, every
-// ghost payload, and per-peer view bodies in commit order.
+// TestFileJournalRoundTrip commits checkpoints and ghosts and reads
+// them back through Restore: sorted contiguous records and every ghost
+// payload.
 func TestFileJournalRoundTrip(t *testing.T) {
 	j := NewFileJournal(nil, t.TempDir())
 	const shard = 1
@@ -34,17 +36,11 @@ func TestFileJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Ghosts(shard, GhostRecord{Round: 0, Peer: 0, IDs: []uint64{5, 6}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Ghosts(shard, GhostRecord{Round: 1, Peer: 2, IDs: []uint64{9}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Views(shard, 0, []WireView{{ID: 5, Depth: 0, Deg: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Views(shard, 0, []WireView{{ID: 6, Depth: 1, Deg: 1, Edges: []WireEdge{{RemotePort: 0, Child: 5}}}}); err != nil {
-		t.Fatal(err)
+	ghosts := []GhostRecord{{Round: 0, Peer: 0, Labels: []int32{5, -6}}, {Round: 1, Peer: 2, Labels: []int32{9}}}
+	for _, gr := range ghosts {
+		if err := j.Ghosts(shard, gr); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	got, err := j.Restore(shard)
@@ -59,12 +55,8 @@ func TestFileJournalRoundTrip(t *testing.T) {
 			t.Errorf("record %d: %+v, want %+v", i, rec, sampleRecord(i))
 		}
 	}
-	if len(got.Ghosts) != 2 {
-		t.Fatalf("restored %d ghost records, want 2", len(got.Ghosts))
-	}
-	views := got.Views[0]
-	if len(views) != 2 || views[0].ID != 5 || views[1].ID != 6 {
-		t.Fatalf("restored views %v, want ids 5 then 6 in commit order", views)
+	if !reflect.DeepEqual(got.Ghosts, ghosts) {
+		t.Fatalf("restored ghosts %+v, want %+v", got.Ghosts, ghosts)
 	}
 
 	// A different shard's journal is empty and independent.
@@ -72,7 +64,7 @@ func TestFileJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(other.Records)+len(other.Ghosts)+len(other.Views) != 0 {
+	if len(other.Records)+len(other.Ghosts) != 0 {
 		t.Fatalf("shard 2 restored foreign state: %+v", other)
 	}
 }
@@ -85,7 +77,7 @@ func TestFileJournalIdempotent(t *testing.T) {
 		if err := j.Checkpoint(0, sampleRecord(0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Ghosts(0, GhostRecord{Round: 0, Peer: 1, IDs: []uint64{3}}); err != nil {
+		if err := j.Ghosts(0, GhostRecord{Round: 0, Peer: 1, Labels: []int32{3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,33 +90,32 @@ func TestFileJournalIdempotent(t *testing.T) {
 	}
 }
 
-// TestFileJournalReopenOrdinals opens a second handle on the same root
-// — a restarted process — and appends view batches: the primed per-peer
-// ordinals must extend, not overwrite, the committed sequence.
-func TestFileJournalReopenOrdinals(t *testing.T) {
+// TestFileJournalReopen opens a second handle on the same root — a
+// restarted process — and appends to it: Restore through the new handle
+// returns what both handles committed.
+func TestFileJournalReopen(t *testing.T) {
 	dir := t.TempDir()
 	j1 := NewFileJournal(nil, dir)
-	if err := j1.Views(0, 1, []WireView{{ID: 1, Depth: 0, Deg: 1}}); err != nil {
+	if err := j1.Checkpoint(0, sampleRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j1.Views(0, 1, []WireView{{ID: 2, Depth: 0, Deg: 2}}); err != nil {
+	if err := j1.Ghosts(0, GhostRecord{Round: 0, Peer: 1, Labels: []int32{1}}); err != nil {
 		t.Fatal(err)
 	}
 
 	j2 := NewFileJournal(nil, dir) // the restarted incarnation's handle
-	if err := j2.Views(0, 1, []WireView{{ID: 3, Depth: 0, Deg: 3}}); err != nil {
+	if err := j2.Checkpoint(0, sampleRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Ghosts(0, GhostRecord{Round: 1, Peer: 1, Labels: []int32{2}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := j2.Restore(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []uint64
-	for _, v := range got.Views[1] {
-		ids = append(ids, v.ID)
-	}
-	if want := []uint64{1, 2, 3}; !reflect.DeepEqual(ids, want) {
-		t.Fatalf("views after reopen %v, want %v (ordinal reuse would have dropped a batch)", ids, want)
+	if len(got.Records) != 2 || len(got.Ghosts) != 2 {
+		t.Fatalf("after reopen restored %d records / %d ghosts, want 2/2", len(got.Records), len(got.Ghosts))
 	}
 }
 
@@ -203,7 +194,7 @@ func TestFileJournalCorruption(t *testing.T) {
 	t.Run("foreign-kind", func(t *testing.T) {
 		dir := t.TempDir()
 		j := NewFileJournal(nil, dir)
-		if err := j.Ghosts(0, GhostRecord{Round: 0, Peer: 1, IDs: []uint64{1}}); err != nil {
+		if err := j.Ghosts(0, GhostRecord{Round: 0, Peer: 1, Labels: []int32{1}}); err != nil {
 			t.Fatal(err)
 		}
 		sd := filepath.Join(dir, "s0")
@@ -240,7 +231,7 @@ func TestFileJournalFaultFS(t *testing.T) {
 		dir := t.TempDir()
 		j := NewFileJournal(ffs, dir)
 		ffs.FailNextRenames(1)
-		if err := j.Ghosts(0, GhostRecord{Round: 0, Peer: 1, IDs: []uint64{2}}); !errors.Is(err, store.ErrInjected) {
+		if err := j.Ghosts(0, GhostRecord{Round: 0, Peer: 1, Labels: []int32{2}}); !errors.Is(err, store.ErrInjected) {
 			t.Fatalf("err = %v, want ErrInjected", err)
 		}
 		// The staged tmp- file exists but was never published; Restore
@@ -278,28 +269,30 @@ func TestFileJournalFaultFS(t *testing.T) {
 // bit-for-bit — the in-process twin of the root package's
 // multi-process SIGKILL test.
 func TestShardedFileJournalKillRestart(t *testing.T) {
-	g := graph.RandomConnected(60, 45, 11)
-	want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 3
-	inj := faults.New(21)
-	for s := 0; s < shards; s++ {
-		inj.ArmAfter(CrashCat(s), 2+3*s, 1)
-	}
-	ft := NewFaultTransport(NewChanTransport(shards), inj)
-	fj := NewFileJournal(nil, t.TempDir())
-	got, stats, err := Run(view.NewTable(), g, countFactory, Options{
-		Shards: shards, Transport: ft, Journal: fj, Seed: 4,
+	forEachKind(t, func(t *testing.T, f sim.Factory) {
+		g := graph.RandomConnected(60, 45, 11)
+		want, err := sim.RunBSP(view.NewTable(), g, f, sim.DefaultMaxRounds(g), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const shards = 3
+		inj := faults.New(21)
+		for s := 0; s < shards; s++ {
+			inj.ArmAfter(CrashCat(s), 2+3*s, 1)
+		}
+		ft := NewFaultTransport(NewChanTransport(shards), inj)
+		fj := NewFileJournal(nil, t.TempDir())
+		got, stats, err := Run(view.NewTable(), g, f, Options{
+			Shards: shards, Transport: ft, Journal: fj, Seed: 4,
+		})
+		if err != nil {
+			t.Fatalf("%v [%s]", err, inj)
+		}
+		requireSame(t, "file-journal-kill-restart", want, got)
+		if stats.Crashes < shards || stats.Recoveries != stats.Crashes {
+			t.Errorf("crashes=%d recoveries=%d, want %d of each [%s]", stats.Crashes, stats.Recoveries, shards, inj)
+		}
 	})
-	if err != nil {
-		t.Fatalf("%v [%s]", err, inj)
-	}
-	requireSame(t, "file-journal-kill-restart", want, got)
-	if stats.Crashes < shards || stats.Recoveries != stats.Crashes {
-		t.Errorf("crashes=%d recoveries=%d, want %d of each [%s]", stats.Crashes, stats.Recoveries, shards, inj)
-	}
 }
 
 // TestShardedJournalWriteFailure pins the satellite contract that a
@@ -322,4 +315,50 @@ func TestShardedJournalWriteFailure(t *testing.T) {
 	if !errors.Is(err, store.ErrInjected) {
 		t.Errorf("journal error does not unwrap to the injected cause: %v", err)
 	}
+}
+
+// FuzzShardJournalRecord feeds arbitrary bytes, as a crash could leave
+// them on disk, to the journal's record readers: once as a whole record
+// and once sealed with a valid checksum, so that mutations reach the
+// decoders behind the CRC check. The readers must never panic, and
+// every record they accept must be the one encoding of what they
+// decoded: re-encoding it gives the same bytes. The corpus starts from
+// the records of a real FileJournal run, whole and without their
+// checksums.
+func FuzzShardJournalRecord(f *testing.F) {
+	dir := f.TempDir()
+	g := graph.Grid(4, 5)
+	if _, _, err := Run(view.NewTable(), g, countLabelFactory, Options{Shards: 2, Journal: NewFileJournal(nil, dir)}); err != nil {
+		f.Fatal(err)
+	}
+	seeds := 0
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".rec") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			f.Add(data)
+			f.Add(data[:len(data)-4])
+			seeds++
+		}
+		return err
+	})
+	if err != nil || seeds == 0 {
+		f.Fatalf("collected %d seed records: %v", seeds, err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, rec := range [][]byte{data, seal(append([]byte(nil), data...))} {
+			if r, err := fjOpen(rec, fjKindCheckpoint, "ck"); err == nil {
+				if ck, err := decodeCheckpoint(r); err == nil && !bytes.Equal(encodeCheckpoint(ck), rec) {
+					t.Fatalf("checkpoint %+v re-encodes to other bytes", ck)
+				}
+			}
+			if r, err := fjOpen(rec, fjKindGhosts, "gh"); err == nil {
+				if gr, err := decodeGhosts(r); err == nil && !bytes.Equal(encodeGhosts(gr), rec) {
+					t.Fatalf("ghost record %+v re-encodes to other bytes", gr)
+				}
+			}
+		}
+	})
 }

@@ -16,16 +16,16 @@ type Decision struct {
 }
 
 // Record is one shard's checkpoint for one round, written after the
-// round's decide sweep and before the round is reported: the interned
-// view id of every local node at depth == Round, the decisions the
-// sweep produced, and the frontier counter (local nodes still
-// undecided). A restarted shard replays its records from round 0
-// — deciders may be stateful, so recovery re-executes the sweeps rather
-// than resuming from a snapshot — and uses the checkpoints to validate
-// that the replay reproduced the crashed incarnation exactly.
+// round's decide sweep and before the round is reported: the label of
+// every local node at round Round, the decisions the sweep produced,
+// and the frontier counter (local nodes still undecided). A restarted
+// shard replays its records from round 0 — deciders may be stateful, so
+// recovery re-executes the sweeps rather than resuming from a snapshot
+// — and uses the checkpoints to validate that the replay reproduced the
+// crashed incarnation exactly.
 type Record struct {
 	Round     int
-	ViewIDs   []uint64 // interned view id of local node i at depth Round
+	Labels    []int32 // label of local node i at round Round
 	Decided   []Decision
 	Remaining int // local nodes still undecided after the sweep
 }
@@ -34,35 +34,34 @@ type Record struct {
 // *before* it is acked — acked data must survive a crash, because the
 // sender is now free to forget it.
 type GhostRecord struct {
-	Round int
-	Peer  int
-	IDs   []uint64 // aligned to the ghost slots owned by Peer, ascending
+	Round  int
+	Peer   int
+	Labels []int32 // aligned to the ghost slots owned by Peer, ascending
 }
 
 // Restored is everything a shard recovers from its journal: the
-// checkpoints sorted by round, the ghost payloads in arrival order,
-// and per peer the view bodies received so far (the ghost ids resolve
-// against them, so they must survive exactly as long as the ghosts).
+// checkpoints sorted by round and the ghost payloads in arrival order.
 type Restored struct {
 	Records []Record
 	Ghosts  []GhostRecord
-	Views   map[int][]WireView
 }
 
 // Journal is a shard's crash-surviving store. Implementations must be
 // safe for concurrent use by different shards and must not retain the
 // slices they are handed (the engine reuses its checkpoint buffer);
-// Checkpoint is idempotent per (shard, round), Ghosts per (shard,
-// round, peer), and Views per view id. Every write reports failure — a
-// journal that swallows an I/O error would let the engine ack data it
-// cannot replay, breaking the recovery contract — and the engine
-// surfaces failures as a *JournalError.
+// Checkpoint is idempotent per (shard, round) and Ghosts per (shard,
+// round, peer). Every write reports failure — a journal that swallows
+// an I/O error would let the engine ack data it cannot replay,
+// breaking the recovery contract — and the engine surfaces failures as
+// a *JournalError.
 type Journal interface {
 	Checkpoint(shard int, rec Record) error
 	Ghosts(shard int, gr GhostRecord) error
-	// Views persists view bodies received from peer (only workers that
-	// own their table receive any). Callers pass only bodies not yet
-	// journaled; implementations may nevertheless dedup.
+	// Views once persisted shipped view bodies. The engine never calls
+	// it; MemJournal's and FileJournal's are no-ops.
+	//
+	// Deprecated: kept only because benchmark/trace.go compiles against
+	// it; remove it with that file's reference.
 	Views(shard, peer int, views []WireView) error
 	// Restore returns everything the shard has durably stored. Torn or
 	// corrupt entries surface as an error wrapping ErrJournalCorrupt —
@@ -80,7 +79,7 @@ var ErrJournalCorrupt = errors.New("shard: journal corrupt")
 // with errors.Is / errors.As through Unwrap).
 type JournalError struct {
 	Shard int
-	Op    string // "checkpoint", "ghosts", "views", "restore"
+	Op    string // "checkpoint", "ghosts", "restore"
 	Err   error
 }
 
@@ -99,24 +98,17 @@ type MemJournal struct {
 	mu     sync.Mutex
 	recs   map[int]map[int]Record // shard → round → record
 	ghosts map[int][]GhostRecord
-	views  map[int]map[int][]WireView // shard → peer → bodies, arrival order
-	seen   map[int]map[int]map[uint64]bool
 }
 
 // NewMemJournal returns an empty journal.
 func NewMemJournal() *MemJournal {
-	return &MemJournal{
-		recs:   map[int]map[int]Record{},
-		ghosts: map[int][]GhostRecord{},
-		views:  map[int]map[int][]WireView{},
-		seen:   map[int]map[int]map[uint64]bool{},
-	}
+	return &MemJournal{recs: map[int]map[int]Record{}, ghosts: map[int][]GhostRecord{}}
 }
 
 func (j *MemJournal) Checkpoint(shard int, rec Record) error {
 	cp := Record{
 		Round:     rec.Round,
-		ViewIDs:   append([]uint64(nil), rec.ViewIDs...),
+		Labels:    append([]int32(nil), rec.Labels...),
 		Remaining: rec.Remaining,
 	}
 	for _, d := range rec.Decided {
@@ -145,38 +137,16 @@ func (j *MemJournal) Ghosts(shard int, gr GhostRecord) error {
 		}
 	}
 	j.ghosts[shard] = append(j.ghosts[shard], GhostRecord{
-		Round: gr.Round, Peer: gr.Peer, IDs: append([]uint64(nil), gr.IDs...),
+		Round: gr.Round, Peer: gr.Peer, Labels: append([]int32(nil), gr.Labels...),
 	})
 	return nil
 }
 
-func (j *MemJournal) Views(shard, peer int, views []WireView) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	byPeer := j.views[shard]
-	if byPeer == nil {
-		byPeer = map[int][]WireView{}
-		j.views[shard] = byPeer
-	}
-	seenPeer := j.seen[shard]
-	if seenPeer == nil {
-		seenPeer = map[int]map[uint64]bool{}
-		j.seen[shard] = seenPeer
-	}
-	ids := seenPeer[peer]
-	if ids == nil {
-		ids = map[uint64]bool{}
-		seenPeer[peer] = ids
-	}
-	for _, v := range views {
-		if ids[v.ID] {
-			continue
-		}
-		ids[v.ID] = true
-		byPeer[peer] = append(byPeer[peer], v.clone())
-	}
-	return nil
-}
+// Views stores nothing.
+//
+// Deprecated: kept only to implement Journal.Views, which
+// benchmark/trace.go compiles against.
+func (j *MemJournal) Views(shard, peer int, views []WireView) error { return nil }
 
 func (j *MemJournal) Restore(shard int) (Restored, error) {
 	j.mu.Lock()
@@ -187,11 +157,5 @@ func (j *MemJournal) Restore(shard int) (Restored, error) {
 	}
 	sort.Slice(out.Records, func(a, b int) bool { return out.Records[a].Round < out.Records[b].Round })
 	out.Ghosts = append([]GhostRecord(nil), j.ghosts[shard]...)
-	if len(j.views[shard]) > 0 {
-		out.Views = map[int][]WireView{}
-		for peer, vs := range j.views[shard] {
-			out.Views[peer] = append([]WireView(nil), vs...)
-		}
-	}
 	return out, nil
 }

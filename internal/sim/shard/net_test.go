@@ -33,12 +33,8 @@ func TestNetTransportRoundTrip(t *testing.T) {
 		t.Run(network, func(t *testing.T) {
 			grp := netGroup(t, network, 2, nil)
 			msgs := []Message{
-				{From: 0, To: 1, Kind: KindData, Round: 1, Seq: 1, Payload: []uint64{9, 8, 7}},
-				{From: 0, To: 1, Kind: KindView, Round: 1, Seq: 2, Views: []WireView{
-					{ID: 1, Depth: 0, Deg: 2},
-					{ID: 4, Depth: 1, Deg: 1, Edges: []WireEdge{{RemotePort: 0, Child: 1}}},
-				}},
-				{From: 1, To: 0, Kind: KindAck, Round: 1, Seq: 2, AckOf: KindView},
+				{From: 0, To: 1, Kind: KindData, Round: 1, Seq: 1, Payload: []int32{9, -8, 7}},
+				{From: 1, To: 0, Kind: KindAck, Round: 1, Seq: 1},
 			}
 			for _, m := range msgs {
 				if err := grp.Send(m); err != nil {
@@ -165,34 +161,34 @@ func TestNetTransportWaitsForBusyAddress(t *testing.T) {
 
 // TestShardedOverSockets is the loopback differential: the in-process
 // engine runs its boundary protocol over real TCP and unix-socket
-// connections and must stay bit-identical to RunBSP. Its shards share
-// one table, so only ids cross the sockets; view shipping over sockets
-// is covered by the goWorkers suites in proc_test.go.
+// connections and must stay bit-identical to RunBSP.
 func TestShardedOverSockets(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid45":   graph.Grid(4, 5),
 		"random60": graph.RandomConnected(60, 45, 11),
 	}
-	for _, network := range []string{"tcp", "unix"} {
-		for name, g := range graphs {
-			want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{2, 3} {
-				grp := netGroup(t, network, shards, nil)
-				got, stats, err := Run(view.NewTable(), g, countFactory, Options{Shards: shards, Transport: grp})
-				label := fmt.Sprintf("%s/%s/shards=%d", network, name, shards)
+	forEachKind(t, func(t *testing.T, f sim.Factory) {
+		for _, network := range []string{"tcp", "unix"} {
+			for name, g := range graphs {
+				want, err := sim.RunBSP(view.NewTable(), g, f, sim.DefaultMaxRounds(g), 0)
 				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+					t.Fatal(err)
 				}
-				requireSame(t, label, want, got)
-				if stats.Crashes != 0 {
-					t.Errorf("%s: clean socket run reports %d crashes", label, stats.Crashes)
+				for _, shards := range []int{2, 3} {
+					grp := netGroup(t, network, shards, nil)
+					got, stats, err := Run(view.NewTable(), g, f, Options{Shards: shards, Transport: grp})
+					label := fmt.Sprintf("%s/%s/shards=%d", network, name, shards)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireSame(t, label, want, got)
+					if stats.Crashes != 0 {
+						t.Errorf("%s: clean socket run reports %d crashes", label, stats.Crashes)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestShardedOverSocketsUnderChaos stacks protocol chaos
@@ -201,29 +197,31 @@ func TestShardedOverSockets(t *testing.T) {
 // must still reproduce RunBSP bit-for-bit, restarts included.
 func TestShardedOverSocketsUnderChaos(t *testing.T) {
 	g := graph.RandomConnected(60, 45, 11)
-	want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, network := range []string{"tcp", "unix"} {
-		for seed := int64(1); seed <= 2; seed++ {
-			const shards = 3
-			inj := SeededChaos(seed, shards)
-			inj.SetRate(SockDrop, 0.05)
-			inj.SetRate(SockClose, 0.02)
-			grp := netGroup(t, network, shards, inj)
-			ft := NewFaultTransport(grp, inj)
-			got, stats, err := Run(view.NewTable(), g, countFactory, Options{
-				Shards: shards, Transport: ft, Seed: seed,
-			})
-			label := fmt.Sprintf("%s/seed=%d [%s]", network, seed, inj)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			requireSame(t, label, want, got)
-			if stats.Recoveries > stats.Crashes {
-				t.Errorf("%s: %d recoveries exceed %d crashes", label, stats.Recoveries, stats.Crashes)
+	forEachKind(t, func(t *testing.T, f sim.Factory) {
+		want, err := sim.RunBSP(view.NewTable(), g, f, sim.DefaultMaxRounds(g), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, network := range []string{"tcp", "unix"} {
+			for seed := int64(1); seed <= 2; seed++ {
+				const shards = 3
+				inj := SeededChaos(seed, shards)
+				inj.SetRate(SockDrop, 0.05)
+				inj.SetRate(SockClose, 0.02)
+				grp := netGroup(t, network, shards, inj)
+				ft := NewFaultTransport(grp, inj)
+				got, stats, err := Run(view.NewTable(), g, f, Options{
+					Shards: shards, Transport: ft, Seed: seed,
+				})
+				label := fmt.Sprintf("%s/seed=%d [%s]", network, seed, inj)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSame(t, label, want, got)
+				if stats.Recoveries > stats.Crashes {
+					t.Errorf("%s: %d recoveries exceed %d crashes", label, stats.Recoveries, stats.Crashes)
+				}
 			}
 		}
-	}
+	})
 }

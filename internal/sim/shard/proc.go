@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/view"
 )
 
 // Multi-process deployment: the supervisor (RunProc) owns the barrier
@@ -23,7 +22,9 @@ import (
 // connection carrying the frames of wire.go: Hello up once, then
 // Report/Recovered up and Proceed/Stop/Abort down, Err for
 // unrecoverable failures. The data plane between workers is a
-// NetTransport per process and never touches the supervisor.
+// NetTransport per process and never touches the supervisor. Workers
+// run label programs only: a label is the same integer in every
+// process, so nothing but labels crosses between them.
 //
 // Crash detection is the connection itself: a control conn that dies
 // before the supervisor broadcast Stop (and without a preceding Err
@@ -31,9 +32,11 @@ import (
 // an injected CrashError and exited, or lost the conn some other way;
 // a worker treats control-conn loss as fatal for the same reason, so
 // conn and process die together and the supervisor can restart without
-// fencing. A restarted worker replays its journal and re-reports from
-// round 0; the coord's duplicate-report handling re-grants replayed
-// barriers, exactly as for in-process restarts.
+// fencing. An incarnation that exits before its Hello has no conn to
+// lose, so the Start hook also hands back its exit, which counts as
+// that incarnation's crash. A restarted worker replays its journal and
+// re-reports from round 0; the coord's duplicate-report handling
+// re-grants replayed barriers, exactly as for in-process restarts.
 
 // ProcOptions configures a multi-process supervisor run.
 type ProcOptions struct {
@@ -51,8 +54,9 @@ type ProcOptions struct {
 	// Start launches the worker process for shard s, incarnation inc,
 	// and points it at the control address — typically exec'ing
 	// cmd/shardd. Called once per shard at startup and once per
-	// restart; it must not block on the worker's lifetime.
-	Start func(shard, inc int, ctrlAddr string) error
+	// restart; it must not block on the worker's lifetime. The
+	// returned channel is closed when the incarnation has exited.
+	Start func(shard, inc int, ctrlAddr string) (exited <-chan struct{}, err error)
 }
 
 // helloTimeout bounds how long an accepted control connection may take
@@ -62,26 +66,39 @@ const helloTimeout = 10 * time.Second
 // procSuper is the supervisor's connection registry.
 type procSuper struct {
 	mu       sync.Mutex
-	conns    map[int]net.Conn // current control conn per shard
+	conns    map[int]net.Conn    // current control conn per shard
+	life     map[[2]int]incState // per (shard, incarnation)
 	stopping atomic.Bool
 
 	reports chan report
 	done    chan struct{}
 }
 
-// register installs conn as the shard's current control connection,
-// closing any predecessor (a restarted worker reconnects before the
-// supervisor necessarily noticed the old conn die). Once the run is
-// stopping it closes conn instead and returns false: the stop has
-// already closed every registered conn and waits for their readers, so
-// a conn registered after that would never be closed.
-func (ps *procSuper) register(shard int, conn net.Conn) bool {
+// incState is how far an incarnation got.
+type incState uint8
+
+const (
+	incStarted    incState = iota // launched, no Hello registered yet
+	incRegistered                 // its Hello registered its control conn
+	incDead                       // counted as crashed, or exited before its Hello
+)
+
+// register installs conn as the shard's current control connection for
+// incarnation inc, closing any predecessor (a restarted worker
+// reconnects before the supervisor necessarily noticed the old conn
+// die). It closes conn instead and returns false once the run is
+// stopping — the stop has already closed every registered conn and
+// waits for their readers, so a conn registered after that would never
+// be closed — or once the incarnation is dead: a Hello read after its
+// sender's exit was counted must not displace the successor's conn.
+func (ps *procSuper) register(shard, inc int, conn net.Conn) bool {
 	ps.mu.Lock()
-	if ps.stopping.Load() {
+	if ps.stopping.Load() || ps.life[[2]int{shard, inc}] == incDead {
 		ps.mu.Unlock()
 		conn.Close()
 		return false
 	}
+	ps.life[[2]int{shard, inc}] = incRegistered
 	old := ps.conns[shard]
 	ps.conns[shard] = conn
 	ps.mu.Unlock()
@@ -89,6 +106,23 @@ func (ps *procSuper) register(shard int, conn net.Conn) bool {
 		old.Close()
 	}
 	return true
+}
+
+// bury reports incarnation inc of shard as one crash and marks it dead,
+// unless it is dead already or the run is stopping. An exit (exited)
+// of a registered incarnation is left to its control conn, which tells
+// a crash from an Err or a clean stop.
+func (ps *procSuper) bury(shard, inc int, exited bool) {
+	key := [2]int{shard, inc}
+	ps.mu.Lock()
+	st := ps.life[key]
+	if st == incDead || ps.stopping.Load() || (exited && st != incStarted) {
+		ps.mu.Unlock()
+		return
+	}
+	ps.life[key] = incDead
+	ps.mu.Unlock()
+	ps.report(report{kind: reportCrashed, shard: shard})
 }
 
 // current reports whether conn is still the shard's registered conn.
@@ -134,8 +168,8 @@ func (ps *procSuper) serveConn(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // clear the hello deadline
-	shard := first.From
-	if !ps.register(shard, conn) {
+	shard, inc := first.From, first.Inc
+	if !ps.register(shard, inc, conn) {
 		return
 	}
 	sawErr := false
@@ -157,8 +191,8 @@ func (ps *procSuper) serveConn(conn net.Conn) {
 		}
 	}
 	conn.Close()
-	if !sawErr && !ps.stopping.Load() && ps.current(shard, conn) {
-		ps.report(report{kind: reportCrashed, shard: shard})
+	if !sawErr && ps.current(shard, conn) {
+		ps.bury(shard, inc, false)
 	}
 }
 
@@ -201,7 +235,8 @@ func RunProc(ctx context.Context, g *graph.Graph, po ProcOptions) (*sim.Result, 
 	ctrlAddr := ln.Addr().String()
 
 	topo := newTopology(g, po.Shards)
-	ps := &procSuper{conns: map[int]net.Conn{}, reports: make(chan report, 8*po.Shards), done: make(chan struct{})}
+	ps := &procSuper{conns: map[int]net.Conn{}, life: map[[2]int]incState{},
+		reports: make(chan report, 8*po.Shards), done: make(chan struct{})}
 	var connWG sync.WaitGroup
 	connWG.Add(1)
 	go func() {
@@ -218,10 +253,28 @@ func RunProc(ctx context.Context, g *graph.Graph, po ProcOptions) (*sim.Result, 
 
 	stats := &Stats{Shards: po.Shards}
 	res := &sim.Result{Outputs: make([][]int, g.N()), Rounds: make([]int, g.N())}
+	// start launches an incarnation and watches for its exit until the
+	// run ends.
+	start := func(s, inc int) error {
+		exited, err := po.Start(s, inc, ctrlAddr)
+		if err != nil {
+			return err
+		}
+		connWG.Add(1)
+		go func() {
+			defer connWG.Done()
+			select {
+			case <-exited:
+				ps.bury(s, inc, true)
+			case <-ps.done:
+			}
+		}()
+		return nil
+	}
 	c := newCoord(topo, po.Options, stats, res)
 	c.grant = func(s, round int) { ps.sendTo(s, Message{Kind: KindProceed, To: s, Round: round}) }
 	c.restart = func(s, inc int) {
-		if err := po.Start(s, inc, ctrlAddr); err != nil {
+		if err := start(s, inc); err != nil {
 			ps.report(report{kind: reportErr, shard: s, err: fmt.Errorf("shard: restart worker %d: %w", s, err)})
 		}
 	}
@@ -255,7 +308,7 @@ func RunProc(ctx context.Context, g *graph.Graph, po ProcOptions) (*sim.Result, 
 	}
 
 	for s := 0; s < po.Shards; s++ {
-		if err := po.Start(s, 0, ctrlAddr); err != nil {
+		if err := start(s, 0); err != nil {
 			return finish(fmt.Errorf("shard: start worker %d: %w", s, err))
 		}
 	}
@@ -285,13 +338,12 @@ type WorkerConfig struct {
 	Shard int
 	Inc   int
 
-	Graph   *graph.Graph
-	Shards  int
+	Graph  *graph.Graph
+	Shards int
+	// Factory must make a sim.LabelProgram for every node of the
+	// shard's range; RunWorker refuses any other decider with a
+	// *NotLabelProgramError.
 	Factory sim.Factory
-	// Table is the process-local interning table (nil means fresh). A
-	// restarted process starts empty and still validates against its
-	// checkpoints: the worker's interning order is deterministic.
-	Table *view.Table
 
 	Transport Transport
 	Journal   Journal
@@ -315,14 +367,12 @@ func IsCtrlLost(err error) bool { return errors.Is(err, errCtrlLost) }
 // the supervisor stops the run, the worker crashes (a *CrashError
 // return — the process should exit nonzero so chaos harnesses can see
 // it), or an unrecoverable error occurs (reported to the supervisor as
-// an Err frame and returned).
+// an Err frame and returned). A decider that is not a
+// sim.LabelProgram is such an error, a *NotLabelProgramError: a view
+// id means nothing in another process, so workers run on labels only.
 func RunWorker(cfg WorkerConfig) error {
 	if cfg.Transport == nil || cfg.Journal == nil {
 		return fmt.Errorf("shard: worker needs a transport and a journal")
-	}
-	tab := cfg.Table
-	if tab == nil {
-		tab = view.NewTable()
 	}
 	network := cfg.CtrlNetwork
 	if network == "" {
@@ -378,7 +428,7 @@ func RunWorker(cfg WorkerConfig) error {
 	var retries atomic.Int64
 	var reported int64
 	w := &worker{
-		topo: topo, tab: tab, f: cfg.Factory, opt: cfg.Options, tr: cfg.Transport, jr: cfg.Journal,
+		topo: topo, f: cfg.Factory, opt: cfg.Options, tr: cfg.Transport, jr: cfg.Journal,
 		s: cfg.Shard, inc: cfg.Inc, lo: topo.ranges[cfg.Shard][0],
 		size: topo.ranges[cfg.Shard][1] - topo.ranges[cfg.Shard][0],
 		emit: func(rep report) error {
@@ -413,7 +463,9 @@ func RunWorker(cfg WorkerConfig) error {
 				err = fmt.Errorf("shard: shard %d panicked: %v", cfg.Shard, p)
 			}
 		}()
-		w.init()
+		if err := w.init(); err != nil {
+			return err
+		}
 		return w.run()
 	}()
 	if runErr == nil {

@@ -1,19 +1,21 @@
 // Package shard runs the bulk-synchronous engine across shards that
-// each own a contiguous node range of the graph's CSR, intern one view
-// per local node per round, and exchange only the interned view ids of
-// their boundary nodes — ids, not views, cross the wire. In-process
-// shards (RunCtx) intern into one view.Table, so an interned id already
-// is the view's identity and nothing but ids is sent or journaled;
-// worker processes (RunWorker) each own a table, so each distinct
-// boundary view's *body* also crosses to a peer, at most a handful of
-// times, on first reference (see views.go). The data plane (Transport) is allowed to be
-// faulty: messages may be
+// each own a contiguous node range of the graph's CSR. A worker holds
+// one int32 label per local and ghost node and runs sim.LabelProgram's
+// recursion on them, so each round a shard sends each peer one label
+// per boundary node — labels, not views, cross the wire, and a worker
+// holds no view at all. A label is a function of the node's view at the
+// current depth (Elect's name the view classes, the Yamashita–Kameda
+// quotient), so it is the same integer in every shard and every
+// process. RunCtx runs view deciders too, through an in-process adapter
+// whose labels are view ids in the caller's table (adapter.go);
+// RunWorker, the worker-process face, runs label programs only. The
+// data plane (Transport) is allowed to be faulty: messages may be
 // dropped, duplicated, reordered or delayed, and whole shards may
 // crash; a sequence/ack/retry protocol plus a per-shard journal make
-// the engine produce outputs bit-identical to sim.RunBSP anyway
-// (pinned by the differential suite in shard_test.go and the root
-// package's TestShardedDifferential, and across real processes over
-// loopback sockets by the root package's TestProcWireDifferential).
+// the engine produce outputs bit-identical to sim.RunBSP anyway (pinned
+// by the differential suite in shard_test.go and the root package's
+// TestShardedDifferential, and across real processes over loopback
+// sockets by the root package's TestProcWireDifferential).
 package shard
 
 import (
@@ -28,24 +30,18 @@ import (
 type Kind uint8
 
 const (
-	// KindData carries one round's boundary view ids from a shard to a
-	// peer: Payload[i] is the interned view id of the i-th node of the
+	// KindData carries one round's boundary labels from a shard to a
+	// peer: Payload[i] is the label of the i-th node of the
 	// deterministic ascending boundary list both endpoints compute from
 	// the graph (the sender's nodes adjacent to the receiver's range).
-	// The ids are interned in the *sender's* view.Table: in-process
-	// receivers share that table and look them up, a worker process
-	// resolves them against the view bodies shipped with KindView.
 	KindData Kind = iota + 1
-	// KindAck acknowledges a KindData or KindView message, echoing
-	// Round and Seq and naming the acknowledged kind in AckOf.
+	// KindAck acknowledges a KindData message, echoing Round and Seq.
 	KindAck
-	// KindView ships view bodies between worker processes (in-process
-	// shards share one table and never send it): the transitive
-	// closure, minus everything already acked by this peer, of the
-	// views whose ids appear in the round's KindData payload.
-	// Bodies are journaled by the receiver before the ack, so acked
-	// views survive a crash and a sender may drop them from its resend
-	// set for good.
+	// KindView once shipped view bodies between worker processes.
+	// Nothing sends it and the wire codec rejects it.
+	//
+	// Deprecated: kept only because benchmark/trace.go compiles against
+	// it; remove it with that file's reference.
 	KindView
 
 	// kindCtrlBase separates the data plane from the control plane:
@@ -76,8 +72,6 @@ func (k Kind) String() string {
 		return "data"
 	case KindAck:
 		return "ack"
-	case KindView:
-		return "view"
 	case KindHello:
 		return "hello"
 	case KindReport:
@@ -99,22 +93,19 @@ func (k Kind) String() string {
 // Message is one boundary-protocol datagram, and doubles as the frame
 // of the multi-process control plane (the wire codec in wire.go
 // serializes exactly the fields its Kind uses). Data messages are
-// small — one uint64 per boundary node — and view messages, sent only
-// between worker processes, amortize to nearly nothing: each distinct
-// view body crosses a given peer link at most once per sender
-// incarnation.
+// small: one int32 label per boundary node.
 type Message struct {
 	From    int // sender shard
 	To      int // destination shard
 	Kind    Kind
-	Round   int      // exchange round the payload belongs to
-	Seq     uint64   // per-(sender,dest) sequence number; acks echo it
-	Payload []uint64 // interned view ids (KindData only)
+	Round   int     // exchange round the payload belongs to
+	Seq     uint64  // per-(sender,dest) sequence number; acks echo it
+	Payload []int32 // boundary labels (KindData only)
 
-	// AckOf names the kind a KindAck acknowledges (KindData or
-	// KindView), so the two legs of an exchange retire independently.
-	AckOf Kind
-	// Views are the shipped view bodies (KindView only).
+	// Views is always nil: no message carries view bodies.
+	//
+	// Deprecated: kept only because benchmark/trace.go compiles against
+	// it; remove it with that file's reference.
 	Views []WireView
 
 	// Control-plane fields (proc wire only; see proc.go).
@@ -126,23 +117,25 @@ type Message struct {
 	Note      string        // KindErr: the worker's error text
 }
 
+// WireView was a view body in transit between worker processes; no
+// message or journal carries one now.
+//
+// Deprecated: kept only because benchmark/trace.go compiles against it
+// (Message.Views, Journal.Views); remove it with that file's
+// references.
+type WireView struct{}
+
 // Clone deep-copies m: the returned message shares no mutable state
-// (payload, view bodies, decision outputs) with the original. Every
-// path that re-emits a message it does not own — the engine's resend
-// loop, FaultTransport's duplicate/delay/holdback deliveries — must
-// send a Clone, so a receiver or journal holding the first delivery's
-// slices can never observe later mutation (the Payload-aliasing bug
-// pinned by TestMessageCloneAliasing).
+// (payload, decision outputs) with the original. Every path that
+// re-emits a message it does not own — the engine's resend loop,
+// FaultTransport's duplicate/delay/holdback deliveries — must send a
+// Clone, so a receiver or journal holding the first delivery's slices
+// can never observe later mutation (the Payload-aliasing bug pinned by
+// TestMessageCloneAliasing).
 func (m Message) Clone() Message {
 	c := m
 	if m.Payload != nil {
-		c.Payload = append([]uint64(nil), m.Payload...)
-	}
-	if m.Views != nil {
-		c.Views = make([]WireView, len(m.Views))
-		for i, v := range m.Views {
-			c.Views[i] = v.clone()
-		}
+		c.Payload = append([]int32(nil), m.Payload...)
 	}
 	if m.Decisions != nil {
 		c.Decisions = make([]Decision, len(m.Decisions))

@@ -5,29 +5,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
 // Binary wire format for Message, in the varint idiom of
 // internal/graph/binary.go: a fixed magic, unsigned varints for every
-// integer (zigzag for the possibly-negative decision outputs), and a
-// total decoder that returns an error — never panics or over-allocates
-// — on arbitrary input. On a stream each message is framed by a
-// little-endian uint32 byte length, so a reader can resynchronize only
-// by dropping the connection — which is exactly the failure model: a
-// torn frame kills the conn, the message is lost, and the engine's
-// seq/ack/retry protocol resends it.
+// count and id, zigzag varints for the possibly-negative labels and
+// decision outputs, and a total decoder that returns an error — never
+// panics or over-allocates — on arbitrary input. Every varint must be
+// in its shortest form, so an accepted body is the one encoding of its
+// message. On a stream each message is framed by a little-endian
+// uint32 byte length, so a reader can resynchronize only by dropping
+// the connection — which is exactly the failure model: a torn frame
+// kills the conn, the message is lost, and the engine's seq/ack/retry
+// protocol resends it.
 //
 // Layout of one frame body:
 //
-//	magic   "SW1" (3 bytes)
+//	magic   "SW2" (3 bytes)
 //	kind    1 byte
 //	from,to,round,seq  uvarint
 //	then per kind:
-//	  data      count, count ids
-//	  ack       ackOf (1 byte)
-//	  view      count, count × (id, depth, deg, edgeCount,
-//	            edgeCount × (remotePort, childID))
+//	  data      count, count × zigzag(label)
+//	  ack       nothing
 //	  hello     incarnation
 //	  report    remaining, retries, count, count × (node, round,
 //	            outCount, outCount × zigzag(out))
@@ -35,12 +36,12 @@ import (
 //	  proceed/stop/abort  nothing
 //	  err       byteLen, bytes (UTF-8 error text)
 
-var wireMagic = [3]byte{'S', 'W', '1'}
+var wireMagic = [3]byte{'S', 'W', '2'}
 
 const (
-	// maxFrameLen bounds one frame; boundary payloads are one uvarint
-	// per boundary node and view batches amortize, so 64 MiB clears the
-	// engine's scales (10M-node graphs ship ~MB frames) with margin.
+	// maxFrameLen bounds one frame; boundary payloads are at most five
+	// bytes per boundary node, so 64 MiB clears the engine's scales
+	// with margin.
 	maxFrameLen = 64 << 20
 	// maxWireCount bounds every element count before allocation, so a
 	// short malicious frame cannot demand gigabytes.
@@ -57,45 +58,44 @@ func appendMessage(buf []byte, m Message) []byte {
 	buf = binary.AppendUvarint(buf, m.Seq)
 	switch m.Kind {
 	case KindData:
-		buf = binary.AppendUvarint(buf, uint64(len(m.Payload)))
-		for _, id := range m.Payload {
-			buf = binary.AppendUvarint(buf, id)
-		}
-	case KindAck:
-		buf = append(buf, byte(m.AckOf))
-	case KindView:
-		buf = binary.AppendUvarint(buf, uint64(len(m.Views)))
-		for _, v := range m.Views {
-			buf = binary.AppendUvarint(buf, v.ID)
-			buf = binary.AppendUvarint(buf, uint64(v.Depth))
-			buf = binary.AppendUvarint(buf, uint64(v.Deg))
-			buf = binary.AppendUvarint(buf, uint64(len(v.Edges)))
-			for _, e := range v.Edges {
-				buf = binary.AppendUvarint(buf, uint64(e.RemotePort))
-				buf = binary.AppendUvarint(buf, e.Child)
-			}
-		}
+		buf = appendLabels(buf, m.Payload)
 	case KindHello:
 		buf = binary.AppendUvarint(buf, uint64(m.Inc))
 	case KindReport:
 		buf = binary.AppendUvarint(buf, uint64(m.Remaining))
 		buf = binary.AppendUvarint(buf, uint64(m.Retries))
-		buf = binary.AppendUvarint(buf, uint64(len(m.Decisions)))
-		for _, d := range m.Decisions {
-			buf = binary.AppendUvarint(buf, uint64(d.Node))
-			buf = binary.AppendUvarint(buf, uint64(d.Round))
-			buf = binary.AppendUvarint(buf, uint64(len(d.Output)))
-			for _, o := range d.Output {
-				buf = binary.AppendVarint(buf, int64(o))
-			}
-		}
+		buf = appendDecisions(buf, m.Decisions)
 	case KindRecovered:
 		buf = binary.AppendUvarint(buf, uint64(m.Dur))
 	case KindErr:
 		buf = binary.AppendUvarint(buf, uint64(len(m.Note)))
 		buf = append(buf, m.Note...)
-	case KindProceed, KindStop, KindAbort:
+	case KindAck, KindProceed, KindStop, KindAbort:
 		// No payload beyond the header.
+	}
+	return buf
+}
+
+// appendDecisions appends a count and, per decision, its node, round,
+// output count and the zigzag varint of every output.
+func appendDecisions(buf []byte, ds []Decision) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ds)))
+	for _, d := range ds {
+		buf = binary.AppendUvarint(buf, uint64(d.Node))
+		buf = binary.AppendUvarint(buf, uint64(d.Round))
+		buf = binary.AppendUvarint(buf, uint64(len(d.Output)))
+		for _, o := range d.Output {
+			buf = binary.AppendVarint(buf, int64(o))
+		}
+	}
+	return buf
+}
+
+// appendLabels appends a count and the zigzag varint of every label.
+func appendLabels(buf []byte, labels []int32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(labels)))
+	for _, l := range labels {
+		buf = binary.AppendVarint(buf, int64(l))
 	}
 	return buf
 }
@@ -122,8 +122,21 @@ func (r *wireReader) uvarint(what string) uint64 {
 		r.fail("truncated frame %s", what)
 		return 0
 	}
+	if !r.shortest(k, what) {
+		return 0
+	}
 	r.data = r.data[k:]
 	return v
+}
+
+// shortest fails unless the k-byte varint at the head of the data is
+// in its shortest form: an overlong one ends in a zero byte.
+func (r *wireReader) shortest(k int, what string) bool {
+	if k > 1 && r.data[k-1] == 0 {
+		r.fail("overlong varint for frame %s", what)
+		return false
+	}
+	return true
 }
 
 // count reads an element count and bounds it. Every counted element
@@ -162,8 +175,29 @@ func (r *wireReader) varint(what string) int {
 		r.fail("truncated frame %s", what)
 		return 0
 	}
+	if !r.shortest(k, what) {
+		return 0
+	}
 	r.data = r.data[k:]
 	return int(v)
+}
+
+// labels reads a count and that many labels, each a zigzag varint that
+// must fit an int32.
+func (r *wireReader) labels(what string) []int32 {
+	n := r.count(what + " count")
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		v := r.varint(what)
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			r.fail("frame %s %d out of int32 range", what, v)
+		}
+		out[i] = int32(v)
+	}
+	return out
 }
 
 func (r *wireReader) byte(what string) byte {
@@ -177,6 +211,32 @@ func (r *wireReader) byte(what string) byte {
 	b := r.data[0]
 	r.data = r.data[1:]
 	return b
+}
+
+// decisions reads what appendDecisions wrote.
+func (r *wireReader) decisions() []Decision {
+	var ds []Decision
+	n := r.count("decision count")
+	for i := 0; i < n && r.err == nil; i++ {
+		d := Decision{Node: r.num("decision node"), Round: r.num("decision round")}
+		oc := r.count("output count")
+		// A decided node's Output is non-nil by contract even when
+		// empty; the count alone cannot carry that distinction, so
+		// decode canonicalizes to the empty slice.
+		d.Output = []int{}
+		for j := 0; j < oc && r.err == nil; j++ {
+			d.Output = append(d.Output, r.varint("output"))
+		}
+		ds = append(ds, d)
+	}
+	return ds
+}
+
+// end fails if any bytes are left.
+func (r *wireReader) end() {
+	if r.err == nil && len(r.data) != 0 {
+		r.fail("%d trailing bytes", len(r.data))
+	}
 }
 
 // decodeMessage parses one frame body. It is total on arbitrary input.
@@ -193,63 +253,13 @@ func decodeMessage(data []byte) (Message, error) {
 	m.Seq = r.uvarint("seq")
 	switch m.Kind {
 	case KindData:
-		n := r.count("payload count")
-		if r.err == nil && n > 0 {
-			m.Payload = make([]uint64, n)
-			for i := range m.Payload {
-				m.Payload[i] = r.uvarint("payload id")
-			}
-		}
-	case KindAck:
-		m.AckOf = Kind(r.byte("ackOf"))
-		if r.err == nil && m.AckOf != KindData && m.AckOf != KindView {
-			return Message{}, fmt.Errorf("shard: ack of unexpected kind %d", m.AckOf)
-		}
-	case KindView:
-		n := r.count("view count")
-		if r.err == nil && n > 0 {
-			m.Views = make([]WireView, 0, min(n, 4096))
-			for i := 0; i < n && r.err == nil; i++ {
-				var v WireView
-				v.ID = r.uvarint("view id")
-				v.Depth = r.num("view depth")
-				v.Deg = r.num("view degree")
-				ec := r.count("view edge count")
-				if r.err == nil && ec > 0 {
-					v.Edges = make([]WireEdge, 0, min(ec, 4096))
-					for j := 0; j < ec && r.err == nil; j++ {
-						v.Edges = append(v.Edges, WireEdge{
-							RemotePort: r.num("edge port"),
-							Child:      r.uvarint("edge child"),
-						})
-					}
-				}
-				if r.err == nil {
-					if err := checkWireView(v); err != nil {
-						return Message{}, err
-					}
-				}
-				m.Views = append(m.Views, v)
-			}
-		}
+		m.Payload = r.labels("payload label")
 	case KindHello:
 		m.Inc = r.num("incarnation")
 	case KindReport:
 		m.Remaining = r.num("remaining")
 		m.Retries = r.num("retries")
-		n := r.count("decision count")
-		for i := 0; i < n && r.err == nil; i++ {
-			d := Decision{Node: r.num("decision node"), Round: r.num("decision round")}
-			oc := r.count("output count")
-			// A decided node's Output is non-nil by contract even when
-			// empty; the count alone cannot carry that distinction, so
-			// decode canonicalizes to the empty slice.
-			d.Output = []int{}
-			for j := 0; j < oc && r.err == nil; j++ {
-				d.Output = append(d.Output, r.varint("output"))
-			}
-			m.Decisions = append(m.Decisions, d)
-		}
+		m.Decisions = r.decisions()
 	case KindRecovered:
 		m.Dur = time.Duration(r.num("duration"))
 	case KindErr:
@@ -261,7 +271,7 @@ func decodeMessage(data []byte) (Message, error) {
 			m.Note = string(r.data[:n])
 			r.data = r.data[n:]
 		}
-	case KindProceed, KindStop, KindAbort:
+	case KindAck, KindProceed, KindStop, KindAbort:
 		// No payload beyond the header.
 	default:
 		return Message{}, fmt.Errorf("shard: unknown frame kind %d", m.Kind)

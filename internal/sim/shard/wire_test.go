@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,32 +12,29 @@ import (
 )
 
 // wireMessages returns one representative of every frame kind, with
-// every kind-specific field populated (negative decision outputs for
-// the zigzag path, nested view bodies, empty-payload control frames).
+// every kind-specific field populated (negative and extreme labels and
+// decision outputs for the zigzag path, empty-payload control frames).
 func wireMessages() map[string]Message {
 	return map[string]Message{
 		"data": {From: 1, To: 2, Kind: KindData, Round: 5, Seq: 99,
-			Payload: []uint64{0, 7, 1 << 40, 42}},
+			Payload: []int32{0, 7, 1 << 20, 42}},
 		"data-empty": {From: 0, To: 1, Kind: KindData, Round: 0, Seq: 1},
-		"ack-data":   {From: 2, To: 1, Kind: KindAck, Round: 5, Seq: 99, AckOf: KindData},
-		"ack-view":   {From: 2, To: 1, Kind: KindAck, Round: 5, Seq: 100, AckOf: KindView},
-		"view": {From: 0, To: 1, Kind: KindView, Round: 3, Seq: 7, Views: []WireView{
-			{ID: 11, Depth: 0, Deg: 3},
-			{ID: 12, Depth: 0, Deg: 1},
-			{ID: 31, Depth: 1, Deg: 2, Edges: []WireEdge{{RemotePort: 2, Child: 11}, {RemotePort: 0, Child: 12}}},
-		}},
-		"hello": {From: 2, Kind: KindHello, Inc: 4},
+		"data-extremes": {From: 2, To: 0, Kind: KindData, Round: 3, Seq: 7,
+			Payload: []int32{math.MinInt32, -1, math.MaxInt32}},
+		"ack-data": {From: 2, To: 1, Kind: KindAck, Round: 5, Seq: 99},
+		"hello":    {From: 2, Kind: KindHello, Inc: 4},
 		"report": {From: 1, Kind: KindReport, Round: 9, Remaining: 17, Retries: 3,
 			Decisions: []Decision{
 				{Node: 40, Round: 9, Output: []int{1, -3, 0, 2}},
 				{Node: 41, Round: 9, Output: []int{-1}},
 				{Node: 42, Round: 9, Output: []int{}}, // decided, empty — must stay non-nil
 			}},
-		"recovered": {From: 0, Kind: KindRecovered, Dur: 1500 * time.Microsecond},
-		"proceed":   {To: 1, Kind: KindProceed, Round: 12},
-		"stop":      {To: 0, Kind: KindStop},
-		"abort":     {To: 2, Kind: KindAbort},
-		"err":       {From: 1, Kind: KindErr, Note: "shard 1 exploded: привет"},
+		"report-empty": {From: 0, Kind: KindReport, Round: 2, Remaining: 20},
+		"recovered":    {From: 0, Kind: KindRecovered, Dur: 1500 * time.Microsecond},
+		"proceed":      {To: 1, Kind: KindProceed, Round: 12},
+		"stop":         {To: 0, Kind: KindStop},
+		"abort":        {To: 2, Kind: KindAbort},
+		"err":          {From: 1, Kind: KindErr, Note: "shard 1 exploded: привет"},
 	}
 }
 
@@ -73,7 +71,7 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireStream(t *testing.T) {
 	msgs := wireMessages()
 	var buf bytes.Buffer
-	order := []string{"view", "data", "ack-data", "report", "err"}
+	order := []string{"data-extremes", "data", "ack-data", "report", "err"}
 	for _, name := range order {
 		if err := writeFrame(&buf, msgs[name]); err != nil {
 			t.Fatal(err)
@@ -134,10 +132,10 @@ func FuzzShardFrame(f *testing.F) {
 }
 
 // TestWireRejectsMalformed covers the structured rejections: bad magic,
-// unknown kinds, trailing garbage, hostile counts, invalid ack kinds
-// and malformed view bodies.
+// unknown kinds (view frames among them), trailing garbage, hostile
+// counts, labels past int32 and overlong varints.
 func TestWireRejectsMalformed(t *testing.T) {
-	valid := appendMessage(nil, Message{From: 0, To: 1, Kind: KindData, Payload: []uint64{1}})
+	valid := appendMessage(nil, Message{From: 0, To: 1, Kind: KindData, Payload: []int32{1}})
 
 	t.Run("bad-magic", func(t *testing.T) {
 		body := append([]byte(nil), valid...)
@@ -179,25 +177,32 @@ func TestWireRejectsMalformed(t *testing.T) {
 		}
 	})
 	t.Run("ack-of-garbage", func(t *testing.T) {
-		body := appendMessage(nil, Message{Kind: KindAck, AckOf: KindHello})
-		if _, err := decodeMessage(body); err == nil || !strings.Contains(err.Error(), "ack of unexpected kind") {
+		// An ack carries nothing after its header.
+		body := append(appendMessage(nil, Message{Kind: KindAck}), byte(KindHello))
+		if _, err := decodeMessage(body); err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("err = %v", err)
 		}
 	})
-	t.Run("view-depth-without-edges", func(t *testing.T) {
-		// Depth > 0 with zero edges would panic view.Make at resolution;
-		// the decoder rejects the body outright.
-		body := appendMessage(nil, Message{Kind: KindView, Views: []WireView{{ID: 1, Depth: 2, Deg: 0}}})
-		if _, err := decodeMessage(body); err == nil {
-			t.Fatal("decoder accepted a positive-depth view with no edges")
+	t.Run("view-kind", func(t *testing.T) {
+		body := appendMessage(nil, Message{Kind: KindView})
+		if _, err := decodeMessage(body); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("err = %v", err)
 		}
 	})
-	t.Run("view-edge-count-mismatch", func(t *testing.T) {
-		body := appendMessage(nil, Message{Kind: KindView, Views: []WireView{
-			{ID: 1, Depth: 1, Deg: 3, Edges: []WireEdge{{RemotePort: 0, Child: 2}}},
-		}})
-		if _, err := decodeMessage(body); err == nil {
-			t.Fatal("decoder accepted a view with edges != degree")
+	t.Run("label-out-of-range", func(t *testing.T) {
+		body := append([]byte(nil), wireMagic[:]...)
+		body = append(body, byte(KindData), 0, 1, 0, 0, 1)
+		body = binary.AppendVarint(body, math.MaxInt32+1)
+		if _, err := decodeMessage(body); err == nil || !strings.Contains(err.Error(), "out of int32 range") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("overlong-varint", func(t *testing.T) {
+		// The round, 0, written in two bytes instead of one.
+		body := append([]byte(nil), wireMagic[:]...)
+		body = append(body, byte(KindProceed), 0, 1, 0x80, 0x00, 0)
+		if _, err := decodeMessage(body); err == nil || !strings.Contains(err.Error(), "overlong") {
+			t.Fatalf("err = %v", err)
 		}
 	})
 }
@@ -216,7 +221,7 @@ func TestWireFrameLimits(t *testing.T) {
 	})
 	t.Run("torn-frame", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, Message{Kind: KindData, Payload: []uint64{1, 2, 3}}); err != nil {
+		if err := writeFrame(&buf, Message{Kind: KindData, Payload: []int32{1, 2, 3}}); err != nil {
 			t.Fatal(err)
 		}
 		torn := buf.Bytes()[:buf.Len()-2]

@@ -3,10 +3,10 @@ package election
 // Real-process differential for the multi-process sharded deployment
 // (DESIGN.md §12): the election pipeline supervised by shard.RunProc
 // over actual shardd worker processes — graph and advice staged as
-// files, boundary traffic over loopback sockets, views shipped across
-// process boundaries, journals on disk — must stay bit-identical to the
-// single-process BSP engine, clean, under seeded chaos schedules, and
-// across a SIGKILL of a live worker mid-round.
+// files, boundary labels over loopback sockets, journals on disk —
+// must stay bit-identical to the single-process BSP engine, clean,
+// under seeded chaos schedules, and across a SIGKILL of a live worker
+// mid-round.
 import (
 	"context"
 	"fmt"
@@ -116,7 +116,7 @@ func newProcHarness(tb testing.TB, g *Graph, adv Bits, shards int, network, chao
 }
 
 // start is the shard.RunProc hook: spawn one shardd incarnation.
-func (h *procHarness) start(shardIdx, inc int, ctrlAddr string) error {
+func (h *procHarness) start(shardIdx, inc int, ctrlAddr string) (<-chan struct{}, error) {
 	args := []string{
 		"-shard", strconv.Itoa(shardIdx), "-shards", strconv.Itoa(h.shards), "-inc", strconv.Itoa(inc),
 		"-graph", h.graphPath, "-advice", h.advPath,
@@ -133,13 +133,17 @@ func (h *procHarness) start(shardIdx, inc int, ctrlAddr string) error {
 	cmd := exec.Command(h.bin, args...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		return err
+		return nil, err
 	}
 	h.mu.Lock()
 	h.cmds[shardIdx] = append(h.cmds[shardIdx], cmd)
 	h.mu.Unlock()
-	go cmd.Wait() //nolint:errcheck // reaped for the zombie; exit status travels on the ctrl conn
-	return nil
+	exited := make(chan struct{})
+	go func() {
+		cmd.Wait() //nolint:errcheck // reaped for the zombie; a registered worker's exit status travels on the ctrl conn
+		close(exited)
+	}()
+	return exited, nil
 }
 
 // run supervises the staged workers to completion.
