@@ -37,4 +37,4 @@ tidy-check:
 	@git diff --exit-code go.mod || (echo "go.mod not tidy: run 'go mod tidy'"; exit 1)
 
 bench-smoke:
-	$(GO) run ./cmd/bench -bench 'BenchmarkElectionIndex$$' -benchtime 1x -out /tmp/BENCH_smoke.json -v
+	$(GO) test -run '^$$' -bench 'BenchmarkElectionIndex$$' -benchtime 1x .

@@ -524,9 +524,10 @@ func BenchmarkOracleScale(b *testing.B) {
 	}
 }
 
-// E23 — the class-sharing asynchronous engine at scale (DESIGN.md §7):
-// the full min-time pipeline on the event-driven engine under every
-// delay model, on the E20/E21 graph families at 10k and 100k nodes.
+// E23 — the asynchronous engine at scale (DESIGN.md §7): the full
+// min-time pipeline, its election replayed on the event-driven schedule
+// under every delay model, on the E20/E21 graph families at 10k and
+// 100k nodes.
 // Each subbenchmark also checks the engine contract — Outputs, Rounds
 // and Time identical to the BSP reference computed once per graph —
 // so every bench run doubles as the at-scale conformance pass. Beyond

@@ -34,10 +34,10 @@
 // -concurrent runs one goroutine per node; -wire additionally
 // serializes every message to bits and reports the wire volume.
 //
-// -async runs the election on the class-sharing asynchronous engine:
-// an event-driven network bridged by the time-stamp
-// synchronizer, whose per-message delays are chosen by the -delay
-// adversary (seeded by -seed):
+// -async replays the bulk-synchronous engine's election on an
+// event-driven network bridged by the time-stamp synchronizer, whose
+// per-message delays are chosen by the -delay adversary (seeded by
+// -seed):
 //
 //	electsim -graph random -n 100000 -algo mintime -async -delay=pareto
 //	electsim -graph hairy -n 64 -algo mintime -async -delay=slowcut

@@ -165,11 +165,11 @@ type Options struct {
 	// Exceeding it fails with a *StuckError on every realization.
 	MaxRounds int
 	// Context, when non-nil, bounds the run: BSP and Sharded check it
-	// at every round barrier and Async per logical round (and
-	// periodically between events), so a deadline or cancel aborts a
-	// runaway simulation cleanly instead of only erroring at the
-	// MaxRounds budget. Nil means context.Background(). Goroutines
-	// ignores it.
+	// at every round barrier, and Async at its BSP run's round barriers,
+	// then per logical round of its schedule and periodically between
+	// events, so a deadline or cancel aborts a runaway simulation
+	// cleanly instead of only erroring at the MaxRounds budget. Nil
+	// means context.Background(). Goroutines ignores it.
 	Context context.Context
 }
 
@@ -196,9 +196,11 @@ func (b BSP) realize(ctx context.Context, tab *view.Table, g *Graph, f sim.Facto
 }
 
 // Async runs the rounds on an asynchronous network bridged by the
-// time-stamp synchronizer (sim.RunAsync). Decisions and logical rounds
-// are those of BSP; the run also reports Result.VirtualTime and
-// Result.MaxSkew.
+// time-stamp synchronizer (sim.RunAsync). Under the synchronizer a
+// message's content depends only on its round stamp, so the run takes
+// its decisions and logical rounds from one BSP run — Elect on labels —
+// and replays them on the schedule, which also yields Result.Messages
+// (the delivered messages), Result.VirtualTime and Result.MaxSkew.
 type Async struct {
 	Seed  int64      // message-delay seed
 	Delay DelayModel // delay adversary; nil = uniform (0,1]
@@ -388,7 +390,7 @@ type Result struct {
 	Rounds     []int   // per-node decision rounds
 	Messages   int     // total messages exchanged
 	WireBits   int     // total bits on the wire (Goroutines{Wire: true} only)
-	ClassViews int     // representative views interned (BSP/Async)
+	ClassViews int     // representative views interned by BSP (Async: its BSP run's); 0 for Elect
 
 	// Async schedule measurements: the virtual time at which the
 	// last node decided and the maximum observed logical-round spread

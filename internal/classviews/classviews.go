@@ -1,8 +1,10 @@
 // Package classviews materializes one interned view per view-equivalence
-// class per depth — the class-sharing core of the simulation engines
-// (sim.RunBSP and the asynchronous engine), which must hand every node
-// its view B^r(v). The Theorem 3.1 oracle (advice.ComputeAdvice) does
-// not use it: it computes on the class quotient itself and interns no
+// class per depth — the class-sharing core of sim.RunBSP's view path,
+// which must hand every node of a program that reads views its view
+// B^r(v). The asynchronous engine reaches it only through RunBSP, whose
+// election it replays; label programs such as Algorithm Elect and the
+// Theorem 3.1 oracle (advice.ComputeAdvice) do not use it: they
+// compute on labels or on the class quotient itself and intern no
 // view.
 //
 // Nodes in the same view-equivalence class at depth l carry *identical*
@@ -53,7 +55,6 @@ type Materializer struct {
 	views     []*view.View
 	next      []*view.View
 	k         int
-	depth     int
 	stable    bool
 
 	// Packed edge matrix of the class representatives, rebuilt in place
@@ -85,9 +86,6 @@ func New(tab *view.Table, g *graph.Graph) *Materializer {
 	return m
 }
 
-// Depth returns the current materialization depth.
-func (m *Materializer) Depth() int { return m.depth }
-
 // NumClasses returns the number of view classes at the current depth.
 func (m *Materializer) NumClasses() int { return m.k }
 
@@ -101,28 +99,15 @@ func (m *Materializer) Stable() bool { return m.stable }
 // read-only, valid until the next Step.
 func (m *Materializer) Class() []int32 { return m.class }
 
-// Views returns the interned class views at the current depth, indexed
-// by class: Views()[Class()[v]] == B^Depth(v) for every node v. The
-// slice aliases internal state: read-only, valid until the next Step.
+// Views returns the interned class views at the current depth d, indexed
+// by class: Views()[Class()[v]] == B^d(v) for every node v, where d is
+// the number of Steps taken. The slice aliases internal state:
+// read-only, valid until the next Step.
 func (m *Materializer) Views() []*view.View { return m.views[:m.k] }
 
 // Representative returns the smallest node id of class c at the current
 // depth.
 func (m *Materializer) Representative(c int) int { return m.ref.Representative(c) }
-
-// CopyClass fills dst (grown as needed) with the per-node classes at
-// the current depth and returns it — Class with a caller-owned buffer,
-// for engines that must retain a window of depths while the
-// materializer advances (the asynchronous engine keeps one level per
-// logical round still in flight).
-func (m *Materializer) CopyClass(dst []int32) []int32 {
-	if cap(dst) < len(m.class) {
-		dst = make([]int32, len(m.class))
-	}
-	dst = dst[:len(m.class)]
-	copy(dst, m.class)
-	return dst
-}
 
 // Step advances one depth: refine the partition (unless already
 // stable), then intern one representative view per class, with the
@@ -172,5 +157,4 @@ func (m *Materializer) Step() {
 		m.tab.SeedTruncation(m.next[c], m.views[prev[m.ref.Representative(c)]])
 	}
 	m.views, m.next = m.next, m.views
-	m.depth++
 }

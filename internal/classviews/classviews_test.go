@@ -35,9 +35,6 @@ func TestMaterializerMatchesLevels(t *testing.T) {
 		m := New(tab, g)
 		ref := part.NewRefiner(g)
 		for d := 0; ; d++ {
-			if m.Depth() != d {
-				t.Fatalf("%s: Depth() = %d, want %d", name, m.Depth(), d)
-			}
 			if m.NumClasses() != ref.NumClasses() {
 				t.Fatalf("%s depth %d: %d classes, refiner has %d", name, d, m.NumClasses(), ref.NumClasses())
 			}
@@ -145,9 +142,6 @@ func TestMaterializerFrozenAfterStability(t *testing.T) {
 	}
 	if m.NumClasses() != 1 {
 		t.Fatalf("ring has %d classes, want 1", m.NumClasses())
-	}
-	if m.Depth() != 6 {
-		t.Fatalf("depth = %d, want 6", m.Depth())
 	}
 	if v := m.Views()[0]; v.Depth != 6 {
 		t.Fatalf("class view depth = %d, want 6", v.Depth)

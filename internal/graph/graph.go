@@ -102,6 +102,12 @@ func (b *Builder) AddEdge(u, pu, v, pv int) *Builder {
 
 // Finalize validates the accumulated edges and returns the graph.
 func (b *Builder) Finalize() (*Graph, error) {
+	// A connected graph on n nodes has at least n−1 edges. Checking that
+	// first bounds what a decoded header can make Finalize allocate by
+	// the edges actually read, not by the node count it claims.
+	if b.n > 1 && len(b.edges) < b.n-1 {
+		return nil, fmt.Errorf("graph: not connected")
+	}
 	type portKey struct{ v, p int }
 	seenPort := make(map[portKey]bool)
 	seenEdge := make(map[[2]int]bool)

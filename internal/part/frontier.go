@@ -70,7 +70,8 @@ import (
 // FrontierRefiner and the view-based reference: one synchronous
 // refinement depth per Step, classes numbered by first occurrence in
 // node order at every depth. classviews.Materializer (and through it
-// the BSP/async engines and the oracle) drives any Engine; the
+// RunBSP's view path, which the asynchronous engine replays) drives
+// any Engine; the oracle drives a FrontierRefiner directly. The
 // bit-identical numbering contract is what makes them interchangeable.
 type Engine interface {
 	Depth() int

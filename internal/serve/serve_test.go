@@ -329,6 +329,25 @@ func TestBadRequestsAre400(t *testing.T) {
 	}
 }
 
+// TestEdgelessHugeGraphIs400: a body that claims 2^24 nodes and no
+// edges is rejected as disconnected, on both endpoints, without the
+// decoder allocating per claimed node.
+func TestEdgelessHugeGraphIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if resp, body := postJSON(t, ts.URL, []byte(`{"n":16777216}`)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("JSON: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	header := []byte{'A', 'P', 'G', '1', 0x80, 0x80, 0x80, 0x08, 0} // n = 2^24, m = 0
+	resp, err := http.Post(ts.URL+"/v1/advice.bin", "application/octet-stream", bytes.NewReader(header))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("binary: status %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestInfeasibleGraphIs422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL, jsonBody(t, graph.Ring(6), false))

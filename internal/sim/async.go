@@ -1,4 +1,4 @@
-// The class-sharing asynchronous engine.
+// The asynchronous engine.
 //
 // This file implements the paper's remark that "the synchronous process
 // of the LOCAL model can be simulated in an asynchronous network using
@@ -14,26 +14,25 @@
 // (induction on r — its round-(r-1) frontier was the neighbors'
 // B^{r-1}, which is precisely how B^r(v) is defined), and by the
 // Yamashita–Kameda quotient argument B^r(v) is shared by v's whole
-// view class at depth r. So the engine never moves views through the
-// event queue at all: it drives one classviews.Materializer — the
-// class-sharing core of RunBSP's view path, one part.FrontierRefiner
-// step and one interned view per class per logical round — and events
-// carry only timing: (delivery time, sequence, destination, round
-// stamp). Unlike RunBSP it runs label programs such as Algorithm Elect
-// on their views too.
+// view class at depth r. So a node decides on entering logical round r
+// exactly what it decides after round r of RunBSP, and the engine
+// computes the election once, with RunBSP — on labels for label
+// programs such as Algorithm Elect, on class-shared views otherwise —
+// and then replays it on the schedule: events carry only timing
+// (delivery time, sequence, destination, round stamp), and node v
+// decides when it enters its RunBSP decision round.
 // The adversary controls the schedule and nothing else, which is why
-// Outputs, Rounds and Time are identical to RunBSP under every delay
-// model and seed (the differential suite in engines_test.go pins
-// this), while VirtualTime and the round skew vary wildly.
+// Outputs, Rounds and Time are RunBSP's under every delay model and
+// seed (the differential suite in engines_test.go pins this), while
+// VirtualTime, the round skew, the delivered messages and every
+// failure of the schedule vary wildly.
 //
 // The synchronizer also bounds the bookkeeping: neighbors' rounds
 // differ by at most one, so a node only ever receives stamps for its
 // current round or the next — two flat arrival counters per node
-// replace the old per-node map[round]inbox — and the window of logical
-// rounds still needed by some undecided node is the global round skew,
-// so materialized levels are recycled as the slowest nodes advance.
-// Events move through a bucketed calendar queue (calendar.go) in the
-// same deterministic (time, sequence) order the old heap used.
+// replace the old per-node map[round]inbox. Events move through a
+// bucketed calendar queue (calendar.go) in the same deterministic
+// (time, sequence) order the old heap used.
 package sim
 
 import (
@@ -42,7 +41,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/classviews"
 	"repro/internal/graph"
 	"repro/internal/view"
 )
@@ -117,13 +115,6 @@ type AsyncResult struct {
 	MaxSkew int
 }
 
-// asyncLevel is one materialized logical round: the per-node view
-// classes at that depth and one interned view per class.
-type asyncLevel struct {
-	class []int32
-	views []*view.View
-}
-
 // RunAsync executes the protocol on an asynchronous network whose
 // per-message delays are chosen by model (nil selects the uniform
 // (0,1] model) seeded with seed. Logical rounds are driven by the
@@ -133,59 +124,26 @@ func RunAsync(tab *view.Table, g *graph.Graph, f Factory, maxRounds int, seed in
 	return RunAsyncCtx(context.Background(), tab, g, f, maxRounds, seed, model)
 }
 
-// RunAsyncCtx is RunAsync with cancellation checkpoints: per logical
-// round of the global frontier, and every few thousand delivered events
-// in between (an adversarial schedule can deliver unboundedly many
-// events without advancing the frontier).
+// RunAsyncCtx is RunAsync with cancellation checkpoints: RunBSP's per
+// round, then, on the schedule, per logical round of the global
+// frontier and every few thousand delivered events in between (an
+// adversarial schedule can deliver unboundedly many events without
+// advancing the frontier).
 func RunAsyncCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, maxRounds int, seed int64, model DelayModel) (*AsyncResult, error) {
+	// The synchronous run fixes every output and decision round; on a
+	// tripped budget it still says who decided when, so the schedule
+	// can report where it got stuck.
+	syn, err := runBSP(ctx, tab, g, f, maxRounds, 0)
+	if syn == nil {
+		return nil, err
+	}
 	n := g.N()
 	if model == nil {
 		model = NewUniformDelay()
 	}
 	model.Reset(g, seed)
-
-	deciders := make([]Decider, n)
-	for v := 0; v < n; v++ {
-		deciders[v] = f(v, g.Deg(v))
-	}
-	res := &AsyncResult{Result: Result{Outputs: make([][]int, n), Rounds: make([]int, n)}}
-
-	cv := classviews.New(tab, g)
-	res.ClassViews += cv.NumClasses()
-	levels := []asyncLevel{{
-		class: cv.CopyClass(nil),
-		views: append([]*view.View(nil), cv.Views()...),
-	}}
-	var classPool [][]int32
-	var viewsPool [][]*view.View
-	freed := 0 // levels below this index have been recycled
-
-	// ensureLevel materializes logical round d (at most one step past
-	// the deepest level yet, by the synchronizer's skew bound).
-	ensureLevel := func(d int) *asyncLevel {
-		for len(levels) <= d {
-			levels = append(levels, asyncLevel{})
-		}
-		if levels[d].class == nil {
-			for cv.Depth() < d {
-				cv.Step()
-				res.ClassViews += cv.NumClasses()
-			}
-			var cls []int32
-			if k := len(classPool); k > 0 {
-				cls, classPool = classPool[k-1], classPool[:k-1]
-			}
-			var vs []*view.View
-			if k := len(viewsPool); k > 0 {
-				vs, viewsPool = viewsPool[k-1], viewsPool[:k-1]
-			}
-			levels[d] = asyncLevel{
-				class: cv.CopyClass(cls),
-				views: append(vs[:0], cv.Views()...),
-			}
-		}
-		return &levels[d]
-	}
+	res := &AsyncResult{Result: *syn}
+	res.Messages = 0 // the schedule counts the delivered ones
 
 	round := make([]int32, n) // current logical round per node
 	cnt0 := make([]int32, n)  // round-stamped arrivals for the current round
@@ -196,20 +154,17 @@ func RunAsyncCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory
 	minLive := 0                // slowest undecided node's round
 	maxRound := 0               // fastest node's round
 
-	decide := func(v, r int, b *view.View) {
-		if out, ok := deciders[v].Decide(r, b); ok {
+	// decide lets v decide on entering logical round r if RunBSP's v
+	// decided at round r.
+	decide := func(v, r int) {
+		if syn.Rounds[v] == r {
 			done[v] = true
-			res.Outputs[v] = out
-			res.Rounds[v] = r
 			undecided--
 			liveAt[r]--
 		}
 	}
-
-	// Round 0: every node knows B^0(v) = its interned leaf.
-	lv0 := &levels[0]
 	for v := 0; v < n; v++ {
-		decide(v, 0, lv0.views[lv0.class[v]])
+		decide(v, 0)
 	}
 
 	q := newCalQueue(2 * g.M())
@@ -311,31 +266,19 @@ events:
 				}
 			}
 			if !done[v] {
-				lv := ensureLevel(r)
 				liveAt[r-1]--
 				//lint:allow ctxcheckpoint grow loop bounded by r (one append per missing round slot)
 				for len(liveAt) <= r {
 					liveAt = append(liveAt, 0)
 				}
 				liveAt[r]++
-				decide(v, r, lv.views[lv.class[v]])
+				decide(v, r)
 				if undecided == 0 {
 					break events
 				}
-				// Recycle the levels every undecided node has passed:
-				// a level is read exactly once per node, on entry.
 				//lint:allow ctxcheckpoint bounded by maxRound (liveAt[r] > 0 for some live round)
 				for liveAt[minLive] == 0 {
 					minLive++
-				}
-				//lint:allow ctxcheckpoint bounded: freed advances monotonically to minLive <= maxRound
-				for freed < minLive {
-					if levels[freed].class != nil {
-						classPool = append(classPool, levels[freed].class)
-						viewsPool = append(viewsPool, levels[freed].views)
-						levels[freed] = asyncLevel{}
-					}
-					freed++
 				}
 			}
 			if err := send(v, r); err != nil {
@@ -345,11 +288,6 @@ events:
 	}
 	if undecided > 0 {
 		return nil, stuck(true)
-	}
-	for _, r := range res.Rounds {
-		if r > res.Time {
-			res.Time = r
-		}
 	}
 	res.VirtualTime = now
 	return res, nil

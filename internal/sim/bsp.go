@@ -12,15 +12,16 @@
 //   - Class-shared views: nodes in the same view-equivalence class at
 //     depth r carry *identical* B^r(v) — the Yamashita–Kameda quotient
 //     argument behind Proposition 2.1 — so a round only ever needs one
-//     interned view per class. RunBSP gets them from the
-//     classviews.Materializer it shares with RunAsync (one
-//     part.FrontierRefiner step and one interned view per class per
-//     round), and every node reads its view as Views()[Class()[v]].
+//     interned view per class. RunBSP gets them from a
+//     classviews.Materializer (one part.FrontierRefiner step and one
+//     interned view per class per round), and every node reads its
+//     view as Views()[Class()[v]].
 //
 // The engine is observationally identical to RunSequential (same
 // Outputs, Rounds, Time, Messages; on views, because interning makes
 // structural equality pointer equality, the very same *view.View
 // handles reach the deciders). All buffers are reused across rounds.
+// RunAsync takes its decisions from this engine too (async.go).
 package sim
 
 import (
@@ -48,6 +49,17 @@ func RunBSP(tab *view.Table, g *graph.Graph, f Factory, maxRounds, workers int) 
 // runaway simulation under a per-request timeout stops at the next
 // round barrier instead of running to the maxRounds budget.
 func RunBSPCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, maxRounds, workers int) (*Result, error) {
+	res, err := runBSP(ctx, tab, g, f, maxRounds, workers)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runBSP is RunBSPCtx, except that a tripped round budget returns the
+// partial result with its *StuckError: the decisions made within the
+// budget, and Rounds[v] = −1 for every node still undecided.
+func runBSP(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, maxRounds, workers int) (*Result, error) {
 	n := g.N()
 	deciders := make([]Decider, n)
 	labels := true
@@ -59,12 +71,12 @@ func RunBSPCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, 
 	if labels {
 		return runLabels(ctx, g, deciders, maxRounds, workers)
 	}
-	res := &Result{Outputs: make([][]int, n), Rounds: make([]int, n)}
+	res := newResult(n)
 
 	cv := classviews.New(tab, g)
 	res.ClassViews += cv.NumClasses()
 
-	vs := &viewSweep{deciders: deciders, done: make([]bool, n), res: res}
+	vs := &viewSweep{deciders: deciders, res: res}
 	sweep := newSweeper(n, workers, vs.sweep)
 	defer sweep.close()
 
@@ -79,7 +91,7 @@ func RunBSPCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, 
 			break
 		}
 		if r >= maxRounds {
-			return nil, budgetExceeded(maxRounds, remaining)
+			return res, budgetExceeded(maxRounds, remaining)
 		}
 		cv.Step()
 		res.ClassViews += cv.NumClasses()
@@ -93,6 +105,16 @@ func canceled(round, undecided int, err error) error {
 	return fmt.Errorf("sim: bsp canceled at round %d with %d nodes undecided: %w", round, undecided, err)
 }
 
+// newResult returns the result of a run on n nodes none of which has
+// decided yet: Rounds[v] = −1.
+func newResult(n int) *Result {
+	res := &Result{Outputs: make([][]int, n), Rounds: make([]int, n)}
+	for v := range res.Rounds {
+		res.Rounds[v] = -1
+	}
+	return res
+}
+
 // setTime sets Time to the last decision round.
 func (res *Result) setTime() {
 	for _, r := range res.Rounds {
@@ -103,8 +125,7 @@ func (res *Result) setTime() {
 // viewSweep is the round-r Decide sweep on class-shared views.
 type viewSweep struct {
 	deciders []Decider
-	done     []bool
-	res      *Result
+	res      *Result // Rounds[v] < 0 while v is undecided
 
 	round int
 	class []int32
@@ -114,11 +135,11 @@ type viewSweep struct {
 func (s *viewSweep) sweep(_, lo, hi int) int {
 	decided := 0
 	for v := lo; v < hi; v++ {
-		if s.done[v] {
+		if s.res.Rounds[v] >= 0 {
 			continue
 		}
 		if out, ok := s.deciders[v].Decide(s.round, s.views[s.class[v]]); ok {
-			s.res.Outputs[v], s.res.Rounds[v], s.done[v] = out, s.round, true
+			s.res.Outputs[v], s.res.Rounds[v] = out, s.round
 			decided++
 		}
 	}

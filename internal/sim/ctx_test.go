@@ -95,15 +95,18 @@ func TestEnginesHonorCancellation(t *testing.T) {
 	}
 }
 
-// cancelOnDecide cancels the context the first time any node is asked
-// to decide at round >= 1 (idempotent), then never decides.
-type cancelOnDecide struct{ cancel context.CancelFunc }
+// cancelOnSend is a delay model that cancels the context at the first
+// round-1 send (idempotent) and otherwise delays like its inner model.
+type cancelOnSend struct {
+	DelayModel
+	cancel context.CancelFunc
+}
 
-func (c *cancelOnDecide) Decide(r int, v *view.View) ([]int, bool) {
+func (c cancelOnSend) Delay(v, p, r int, now float64) float64 {
 	if r >= 1 {
 		c.cancel()
 	}
-	return nil, false
+	return c.DelayModel.Delay(v, p, r, now)
 }
 
 // TestAsyncCancelAtEventBoundary pins the asynchronous engine's
@@ -111,16 +114,19 @@ func (c *cancelOnDecide) Decide(r int, v *view.View) ([]int, bool) {
 // clique a node reaches round r+1 only after nearly every round-r
 // message in the network has been delivered, so consecutive global
 // round advances — the other cancellation checkpoint — are ~2m > 8192
-// events apart. A cancel fired by the first round-1 decision must
-// therefore be caught by the event-count check, not a round advance:
-// the error says "canceled with", wraps ctx.Err(), and is not a
-// StuckError (the run died to the caller, not to the budget).
+// events apart. The deciders stop at round 3, so the synchronous run
+// that fixes the decisions completes; a cancel fired by the first
+// round-1 send of the schedule must then be caught by the event-count
+// check, not a round advance: the error says "canceled with", wraps
+// ctx.Err(), and is not a StuckError (the run died to the caller, not
+// to the budget).
 func TestAsyncCancelAtEventBoundary(t *testing.T) {
 	g := graph.Clique(150) // 2m = 22350 events per round
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	f := func(simID, deg int) Decider { return &cancelOnDecide{cancel: cancel} }
-	res, err := RunAsyncCtx(ctx, view.NewTable(), g, f, 1_000_000, 1, nil)
+	f := func(simID, deg int) Decider { return &stopAt{round: 3, out: []int{}} }
+	model := cancelOnSend{DelayModel: NewUniformDelay(), cancel: cancel}
+	res, err := RunAsyncCtx(ctx, view.NewTable(), g, f, 1_000_000, 1, model)
 	if res != nil {
 		t.Fatal("canceled run returned a result")
 	}

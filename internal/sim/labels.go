@@ -40,7 +40,7 @@ type LabelProgram interface {
 	DecideLabel(r int, label int32) (output []int, done bool)
 }
 
-// runLabels is RunBSPCtx when every decider is a LabelProgram. One
+// runLabels is runBSP when every decider is a LabelProgram. One
 // sweep per round computes every node's label from the previous
 // round's array into the other and lets the node decide on it.
 func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRounds, workers int) (*Result, error) {
@@ -48,8 +48,7 @@ func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRound
 	ls := &labelSweep{
 		g:     g,
 		progs: make([]LabelProgram, n),
-		done:  make([]bool, n),
-		res:   &Result{Outputs: make([][]int, n), Rounds: make([]int, n)},
+		res:   newResult(n),
 		prev:  make([]int32, n),
 		cur:   make([]int32, n),
 	}
@@ -76,7 +75,7 @@ func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRound
 			break
 		}
 		if r >= maxRounds {
-			return nil, budgetExceeded(maxRounds, remaining)
+			return ls.res, budgetExceeded(maxRounds, remaining)
 		}
 	}
 	ls.res.setTime()
@@ -87,8 +86,7 @@ func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRound
 type labelSweep struct {
 	g     *graph.Graph
 	progs []LabelProgram
-	done  []bool
-	res   *Result
+	res   *Result // Rounds[v] < 0 while v is undecided
 
 	round     int
 	prev, cur []int32 // labels of rounds round−1 and round
@@ -121,11 +119,11 @@ func (s *labelSweep) sweep(w, lo, hi int) int {
 			label = p.StepLabel(r, prev[v], nbr)
 		}
 		s.cur[v] = label
-		if s.done[v] {
+		if s.res.Rounds[v] >= 0 {
 			continue
 		}
 		if out, ok := p.DecideLabel(r, label); ok {
-			s.res.Outputs[v], s.res.Rounds[v], s.done[v] = out, r, true
+			s.res.Outputs[v], s.res.Rounds[v] = out, r
 			decided++
 		}
 	}

@@ -30,10 +30,11 @@
 //   - the asynchronous engine (RunAsync, async.go) drops the synchrony
 //     assumption itself: nodes run the α-synchronizer over an
 //     event-driven network whose per-message delays are chosen by an
-//     adversarial DelayModel (delay.go). It runs every program on
-//     class-shared views, like RunBSP's view path, and must produce
-//     identical Outputs, Rounds and Time under every delay model; only
-//     the virtual schedule differs.
+//     adversarial DelayModel (delay.go). Under the synchronizer a
+//     message's content is a function of its round stamp alone, so the
+//     engine takes Outputs, Rounds and Time from one RunBSP run (label
+//     programs on labels, other programs on class-shared views) and
+//     replays it on the schedule; only the virtual schedule differs.
 //
 // Every engine reports an exceeded round budget as a *StuckError.
 package sim
@@ -78,9 +79,9 @@ type Result struct {
 	Messages int
 	WireBits int // total bits on the wire (wire mode only)
 	// ClassViews counts the representative views interned across all
-	// rounds — the class-sharing engines' whole interning volume, at
-	// most (Time+1)·n but typically far less (RunBSP and RunAsync). It
-	// is 0 when RunBSP runs label programs, which intern no view.
+	// rounds — RunBSP's whole interning volume, at most (Time+1)·n but
+	// typically far less; RunAsync reports its RunBSP run's. It is 0
+	// for label programs, which intern no view.
 	ClassViews int
 }
 

@@ -1,8 +1,10 @@
 package election
 
-// Algorithm Elect runs on labels in sim.RunBSP and on views everywhere
-// else. On advice that fits the graph both elect the same leader; these
-// tests pin that they also fail identically on advice that does not —
+// Algorithm Elect runs on labels in sim.RunBSP (and so in sim.RunAsync,
+// which replays RunBSP's election on its schedule) and on views
+// elsewhere, such as the sequential reference. On advice that fits the
+// graph both elect the same leader; these tests pin that they also fail
+// identically on advice that does not —
 // foreign advice (the lower-bound demonstrations of Claims 3.9 and
 // 3.11 and Proposition 4.1) and hand-corrupted advice — because the
 // failures are what the lower-bound arguments observe. The results are
@@ -25,7 +27,11 @@ import (
 // requireLabelsMatchViews runs Elect with adv on g on labels
 // (sim.RunBSP) and on views (sim.RunSequential) and requires the same
 // Outputs (telling nil from empty), Rounds, Time and Messages, or the
-// same *StuckError.
+// same *StuckError. It also runs Elect on the asynchronous engine
+// (uniform delays, seed 1), which must elect on labels too: the same
+// Outputs, Rounds and Time as the views, no class view, or a
+// *StuckError where the others fail (its Messages and failure text are
+// the schedule's).
 func requireLabelsMatchViews(tb testing.TB, name string, g *Graph, adv *Advice) {
 	tb.Helper()
 	maxRounds := sim.DefaultMaxRounds(g)
@@ -33,15 +39,35 @@ func requireLabelsMatchViews(tb testing.TB, name string, g *Graph, adv *Advice) 
 	labels, errL := sim.RunBSP(tab, g, algorithms.NewElectFactoryDecoded(tab, adv), maxRounds, 0)
 	tab = view.NewTable()
 	views, errV := sim.RunSequential(tab, g, algorithms.NewElectFactoryDecoded(tab, adv), maxRounds)
+	tab = view.NewTable()
+	async, errA := sim.RunAsync(tab, g, algorithms.NewElectFactoryDecoded(tab, adv), maxRounds, 1, nil)
 	if errL != nil || errV != nil {
 		var se *sim.StuckError
 		if !errors.As(errL, &se) || !errors.As(errV, &se) || errL.Error() != errV.Error() {
 			tb.Fatalf("%s: labels failed with %v, views with %v", name, errL, errV)
 		}
+		if !errors.As(errA, &se) {
+			tb.Fatalf("%s: views failed with %v, async with %v", name, errV, errA)
+		}
 		return
+	}
+	if errA != nil {
+		tb.Fatalf("%s: async failed with %v", name, errA)
 	}
 	if labels.ClassViews != 0 {
 		tb.Errorf("%s: RunBSP interned %d class views; Elect should run on labels", name, labels.ClassViews)
+	}
+	if async.ClassViews != 0 {
+		tb.Errorf("%s: RunAsync interned %d class views; Elect should run on labels", name, async.ClassViews)
+	}
+	if async.Time != views.Time {
+		tb.Errorf("%s: async time %d, views %d", name, async.Time, views.Time)
+	}
+	if !reflect.DeepEqual(async.Rounds, views.Rounds) {
+		tb.Errorf("%s: per-node rounds differ: async %v, views %v", name, async.Rounds, views.Rounds)
+	}
+	if !reflect.DeepEqual(async.Outputs, views.Outputs) {
+		tb.Errorf("%s: per-node outputs differ: async %v, views %v", name, async.Outputs, views.Outputs)
 	}
 	if labels.Time != views.Time || labels.Messages != views.Messages {
 		tb.Errorf("%s: labels (time %d, messages %d), views (time %d, messages %d)",

@@ -33,6 +33,9 @@ func FuzzGraphWireCodec(f *testing.F) {
 		// And a truncation, so the mutator sees a near-miss.
 		f.Add(enc[:len(enc)-1])
 	}
+	// A header claiming 2^24 nodes and no edges: rejected as
+	// disconnected before anything is allocated per node.
+	f.Add([]byte{'A', 'P', 'G', '1', 0x80, 0x80, 0x80, 0x08, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := graph.UnmarshalBinary(data)
 		if err != nil {
