@@ -485,7 +485,7 @@ func BenchmarkElectionEndToEndSequential(b *testing.B) {
 
 // E22 — the oracle at scale (DESIGN.md §6): ComputeAdvice alone (the
 // advice phase of Theorem 3.1) on the E20/E21 graph families. The
-// oracle computes on the class quotient — per-class ranks, tries over
+// oracle computes on the class quotient — sibling ranks, tries over
 // class rows and per-depth label sweeps, two depths alive at a time —
 // and interns no view; it batches each depth's trie construction and
 // label sweep over a worker pool. This row tracks the advice phase in
@@ -627,54 +627,58 @@ func BenchmarkShardedBSP(b *testing.B) {
 		{"random-n10000", func() *Graph { return RandomConnected(10_000, 5_000, 1) }},
 		{"random-n100000", func() *Graph { return RandomConnected(100_000, 50_000, 1) }},
 	} {
-		g := size.make()
-		s := NewSystem()
-		_, enc, err := s.ComputeAdvice(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		const shards = 4
-		for _, tc := range []struct {
-			name   string
-			faults func() *FaultInjector // nil = clean transport
-		}{
-			{"bsp", nil},
-			{"shards4", nil},
-			{"shards4-crash", func() *FaultInjector {
-				inj := NewFaultInjector(1)
-				for sh := 0; sh < shards; sh++ {
-					inj.ArmAfter(ShardCrashCat(sh), 3+5*sh, 1)
-				}
-				return inj
-			}},
-		} {
-			b.Run(size.name+"/"+tc.name, func(b *testing.B) {
-				var res *Result
-				for i := 0; i < b.N; i++ {
-					o := Options{}
-					if tc.name != "bsp" {
-						sh := Sharded{Shards: shards}
-						if tc.faults != nil {
-							sh.Faults = tc.faults() // fresh budgets per run
+		// The graph and its advice are built inside the size's row, so a
+		// -bench pattern that skips a size skips its set-up too.
+		b.Run(size.name, func(b *testing.B) {
+			g := size.make()
+			s := NewSystem()
+			_, enc, err := s.ComputeAdvice(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const shards = 4
+			for _, tc := range []struct {
+				name   string
+				faults func() *FaultInjector // nil = clean transport
+			}{
+				{"bsp", nil},
+				{"shards4", nil},
+				{"shards4-crash", func() *FaultInjector {
+					inj := NewFaultInjector(1)
+					for sh := 0; sh < shards; sh++ {
+						inj.ArmAfter(ShardCrashCat(sh), 3+5*sh, 1)
+					}
+					return inj
+				}},
+			} {
+				b.Run(tc.name, func(b *testing.B) {
+					var res *Result
+					for i := 0; i < b.N; i++ {
+						o := Options{}
+						if tc.name != "bsp" {
+							sh := Sharded{Shards: shards}
+							if tc.faults != nil {
+								sh.Faults = tc.faults() // fresh budgets per run
+							}
+							o.Realization = sh
 						}
-						o.Realization = sh
+						var err error
+						res, err = s.RunElect(g, enc, o)
+						if err != nil {
+							b.Fatal(err)
+						}
 					}
-					var err error
-					res, err = s.RunElect(g, enc, o)
-					if err != nil {
-						b.Fatal(err)
+					b.ReportMetric(float64(res.Time), "rounds")
+					if st := res.ShardStats; st != nil {
+						b.ReportMetric(float64(st.Retries), "resends")
+						if tc.faults != nil {
+							b.ReportMetric(float64(st.Crashes), "crashes")
+							b.ReportMetric(float64(st.MeanRecovery())/1e6, "recovery-ms/crash")
+						}
 					}
-				}
-				b.ReportMetric(float64(res.Time), "rounds")
-				if st := res.ShardStats; st != nil {
-					b.ReportMetric(float64(st.Retries), "resends")
-					if tc.faults != nil {
-						b.ReportMetric(float64(st.Crashes), "crashes")
-						b.ReportMetric(float64(st.MeanRecovery())/1e6, "recovery-ms/crash")
-					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }
 

@@ -86,12 +86,14 @@ func distinctSorted(tab *view.Table, vs []*view.View) []*view.View {
 // refinement classes: a class's truncation is its class one depth up,
 // and its children are the neighbors' classes one depth up. So the
 // oracle walks the class quotient depth by depth (quotient), with two
-// depths alive at a time, and computes the canonical ranks, the tries
-// and the labels on dense per-class arrays. It interns no view; the
-// tries it builds are exactly those the view-based BuildTrie builds,
-// because every split is decided by canonically distinguished elements
-// and equal child class means equal child view
-// (ComputeAdviceReference, pinned bit-identical by the
+// depths alive at a time, and computes the tries and the labels on
+// dense per-class arrays. The canonical order is evaluated only where
+// the tries read it, among siblings: each class is ranked among the
+// classes with the same parent, by the sort that builds its group's
+// trie. It interns no view; the tries it builds are exactly those the
+// view-based BuildTrie builds, because every split is decided by
+// canonically distinguished elements and equal child class means equal
+// child view (ComputeAdviceReference, pinned bit-identical by the
 // TestOracleEquivalence* suites). The couple tries of a depth and its
 // label sweep run over a worker pool.
 func (o *Oracle) ComputeAdvice(g *graph.Graph) (*Advice, error) {
@@ -99,7 +101,7 @@ func (o *Oracle) ComputeAdvice(g *graph.Graph) (*Advice, error) {
 }
 
 // ComputeAdviceCtx is ComputeAdvice under a context: every depth of the
-// quotient walk (refinement, ranks, the E2 level's tries, the label
+// quotient walk (refinement, the E2 level's tries and ranks, the label
 // sweep) and the final label checks begin with a cancellation
 // checkpoint, so a per-request timeout actually stops oracle work
 // instead of merely abandoning its result. On cancellation the returned
@@ -117,23 +119,12 @@ func (o *Oracle) ComputeAdviceCtx(ctx context.Context, g *graph.Graph) (*Advice,
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("advice: quotient canceled at depth %d: %w", q.depth+1, err)
 		}
-		if !q.step() {
+		ok, err := q.next(&e1, &e2)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			return nil, errors.New("advice: graph is infeasible (symmetric views)")
-		}
-		if q.depth == 1 {
-			e1 = q.depth1()
-		} else {
-			lvl, err := q.level()
-			if err != nil {
-				return nil, err
-			}
-			e2 = append(e2, lvl)
-			q.sweep(&e2[len(e2)-1])
-		}
-		// Ranks order the children of the next depth's rows; depth φ
-		// has none.
-		if q.cur.k < n {
-			q.rank()
 		}
 	}
 	phi := q.depth

@@ -23,6 +23,13 @@ import (
 // buffers of d−1 are reused for d+1 — φ can be Θ(D log(n/D))
 // (Hendrickx), 89 depths on the benchmark's grid, so keeping every
 // depth would cost φ·n.
+//
+// The canonical view order is read in one place: Rows.Build sorts the
+// members of one E2 couple by their children's ranks, and the children
+// behind one port of such members are siblings (classes with the same
+// parent). So a class is ranked only among its siblings, by the sort of
+// its own group — Rows.Build at depth d ≥ 2, rankDepth1 at depth 1 —
+// and no depth is ever sorted as a whole.
 type quotient struct {
 	g     *graph.Graph
 	ref   *part.FrontierRefiner
@@ -39,8 +46,7 @@ type quotient struct {
 	rows   trie.Rows
 
 	// Scratch, reused across depths.
-	perm    []int32 // classes in canonical order
-	at      []int32 // counting-pass offsets of the groups by parent
+	at      []int32 // group offsets: parent p's group is grouped[at[p]:at[p+1]]
 	grouped []int32 // depth-d classes bucketed by parent
 	scratch []int32 // trie builders' partition buffer
 	byLabel []int32 // depth-(d−1) class of each label
@@ -51,7 +57,7 @@ type quotient struct {
 type classLevel struct {
 	k     int
 	class []int32 // class of every node
-	rank  []int32 // canonical rank of every class (depths below φ)
+	rank  []int32 // canonical rank of every class among its siblings (depths below φ)
 	label []int32 // temporary label of every class (depths 1..φ)
 }
 
@@ -72,33 +78,53 @@ func resize(s []int32, n, limit int) []int32 {
 func (q *quotient) perClass(s []int32, n int) []int32 { return resize(s, n, q.g.N()+1) }
 func (q *quotient) perPort(s []int32, n int) []int32  { return resize(s, n, 2*q.g.M()) }
 
-// newQuotient starts the walk at depth 0, where classes are degrees and
-// depth-0 views (leaves labeled by degree) rank by degree.
+// newQuotient starts the walk at depth 0, where classes are degrees,
+// all siblings, and depth-0 views (leaves labeled by degree) rank by
+// degree.
 func newQuotient(g *graph.Graph) *quotient {
 	q := &quotient{g: g, ref: part.NewFrontierRefiner(g, 0)}
 	k := q.ref.NumClasses()
 	q.cur = classLevel{k: k, class: q.ref.CopyClasses(nil), rank: make([]int32, k)}
-	perm := q.identity(k)
+	byDeg := make([]int32, k)
+	for i := range byDeg {
+		byDeg[i] = int32(i)
+	}
 	degOf := func(c int32) int { return g.Deg(q.ref.Representative(int(c))) }
-	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(degOf(a), degOf(b)) })
-	for i, c := range perm {
+	slices.SortFunc(byDeg, func(a, b int32) int { return cmp.Compare(degOf(a), degOf(b)) })
+	for i, c := range byDeg {
 		q.cur.rank[c] = int32(i)
 	}
 	return q
 }
 
-// identity returns the perm scratch holding 0..k−1.
-func (q *quotient) identity(k int) []int32 {
-	q.perm = q.perClass(q.perm, k)
-	for i := range q.perm {
-		q.perm[i] = int32(i)
+// next advances the walk one depth and computes what Algorithm 5 reads
+// off it: E1 at depth 1, level d of E2 at depth d ≥ 2, the labels, and
+// the sibling ranks the next depth's rows compare by. It reports false
+// if the partition did not split, i.e. the graph is infeasible.
+func (q *quotient) next(e1 *trie.Trie, e2 *trie.E2) (bool, error) {
+	if !q.step() {
+		return false, nil
 	}
-	return q.perm
+	if q.depth == 1 {
+		*e1 = q.depth1()
+		// Depth φ has no next depth to rank for.
+		if q.cur.k < q.g.N() {
+			q.rankDepth1()
+		}
+		return true, nil
+	}
+	lvl, err := q.level()
+	if err != nil {
+		return false, err
+	}
+	*e2 = append(*e2, lvl)
+	q.sweep(&(*e2)[len(*e2)-1])
+	return true, nil
 }
 
 // step advances to the next depth: refine, then record every class's
 // representative, parent and row. It reports false if the partition
-// did not split, i.e. the graph is infeasible.
+// did not split.
 func (q *quotient) step() bool {
 	q.prev, q.cur = q.cur, q.prev
 	q.ref.Step()
@@ -135,37 +161,59 @@ func (q *quotient) step() bool {
 	return true
 }
 
-// rank orders the current depth's classes canonically: by degree, then
-// remote ports, then the ranks of the children at depth d−1 — the key
-// view.rankLess sorts views by, evaluated on class rows. Distinct
-// classes are distinct views, so no two keys tie and the ranks do not
-// depend on the sort algorithm.
-func (q *quotient) rank() {
-	off, child, port, prevRank := q.rows.Off, q.rows.Child, q.port, q.prev.rank
-	perm := q.identity(q.cur.k)
-	q.scratch = q.perClass(q.scratch, q.cur.k)
-	sortParallel(perm, q.scratch, func(a, b int32) int {
-		oa, ob := off[a], off[b]
-		da, db := off[a+1]-oa, off[b+1]-ob
-		if da != db {
-			return cmp.Compare(da, db)
-		}
-		for j := range da {
-			if c := cmp.Compare(port[oa+j], port[ob+j]); c != 0 {
-				return c
-			}
-		}
-		for j := range da {
-			if c := cmp.Compare(prevRank[child[oa+j]], prevRank[child[ob+j]]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	q.cur.rank = q.perClass(q.cur.rank, q.cur.k)
-	for i, c := range perm {
-		q.cur.rank[c] = int32(i)
+// group buckets the current depth's classes by parent with one counting
+// pass: afterwards the group of parent p is grouped[at[p]:at[p+1]], in
+// class order.
+func (q *quotient) group() (at, grouped []int32) {
+	at = q.perClass(q.at, q.prev.k+2)
+	clear(at)
+	for _, p := range q.parent {
+		at[p+2]++
 	}
+	for p := range q.prev.k {
+		at[p+2] += at[p+1]
+	}
+	grouped = q.perClass(q.grouped, q.cur.k)
+	for c, p := range q.parent {
+		grouped[at[p+1]] = int32(c)
+		at[p+1]++
+	}
+	q.at, q.grouped = at, grouped
+	return at, grouped
+}
+
+// rankDepth1 ranks the depth-1 classes among their siblings, the classes
+// of one degree: by remote ports, then the depth-0 ranks of the
+// children — the key view.rankLess sorts views by, below the degree.
+// Distinct classes are distinct views, so no two keys tie. The groups
+// are sorted over the worker pool.
+func (q *quotient) rankDepth1() {
+	off, child, port, prevRank := q.rows.Off, q.rows.Child, q.port, q.prev.rank
+	at, grouped := q.group()
+	rank := q.perClass(q.cur.rank, q.cur.k)
+	parallelDo(q.prev.k, 1, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			members := grouped[at[p]:at[p+1]]
+			slices.SortFunc(members, func(a, b int32) int {
+				oa, ob := off[a], off[b]
+				for j := range off[a+1] - oa {
+					if c := cmp.Compare(port[oa+j], port[ob+j]); c != 0 {
+						return c
+					}
+				}
+				for j := range off[a+1] - oa {
+					if c := cmp.Compare(prevRank[child[oa+j]], prevRank[child[ob+j]]); c != 0 {
+						return c
+					}
+				}
+				return 0
+			})
+			for i, c := range members {
+				rank[c] = int32(i)
+			}
+		}
+	})
+	q.cur.rank = rank
 }
 
 // depth1 builds E1 over the encodings bin(B^1) of the depth-1 classes,
@@ -191,33 +239,15 @@ func (q *quotient) depth1() trie.Trie {
 
 // level builds level d of E2: the depth-d classes grouped by parent,
 // and for every group of two or more the couple (label of the parent,
-// trie over the group's rows). The tries of a level are carved out of
-// one arena — a trie over s classes has exactly 2s−1 nodes — and built
-// over the worker pool; each writes only its own group's range of the
-// shared buffers.
+// trie over the group's rows). Building a group's trie ranks its
+// members; a class alone in its group is never compared with another,
+// so its rank is 0. The tries of a level are carved out of one arena —
+// a trie over s classes has exactly 2s−1 nodes — and built over the
+// worker pool; each writes only its own group's range of the shared
+// buffers and its members' ranks.
 func (q *quotient) level() (trie.LevelList, error) {
 	k, kPrev := q.cur.k, q.prev.k
-	// Counting pass: afterwards the group of parent p is
-	// grouped[groupLo(p):at[p]], in class order.
-	at := q.perClass(q.at, kPrev+1)
-	clear(at)
-	for _, p := range q.parent {
-		at[p+1]++
-	}
-	for p := 0; p < kPrev; p++ {
-		at[p+1] += at[p]
-	}
-	grouped := q.perClass(q.grouped, k)
-	for c, p := range q.parent {
-		grouped[at[p]] = int32(c)
-		at[p]++
-	}
-	groupLo := func(p int32) int32 {
-		if p == 0 {
-			return 0
-		}
-		return at[p-1]
-	}
+	at, grouped := q.group()
 	// The depth-(d−1) labels are a bijection onto {1..kPrev} (Claims 3.4
 	// and 3.7); walking the parents in label order emits the couples
 	// sorted by J.
@@ -232,8 +262,8 @@ func (q *quotient) level() (trie.LevelList, error) {
 		byLabel[l-1] = int32(p)
 	}
 	couples, nodes := 0, 0
-	for p := range int32(kPrev) {
-		if s := int(at[p] - groupLo(p)); s > 1 {
+	for p := range kPrev {
+		if s := int(at[p+1] - at[p]); s > 1 {
 			couples++
 			nodes += 2*s - 1
 		}
@@ -243,20 +273,22 @@ func (q *quotient) level() (trie.LevelList, error) {
 	arena := make(trie.Trie, nodes)
 	pos := 0
 	for l, p := range byLabel {
-		if s := int(at[p] - groupLo(p)); s > 1 {
+		if s := int(at[p+1] - at[p]); s > 1 {
 			owner[len(cs)] = p
 			cs = append(cs, trie.Couple{J: l + 1, T: arena[pos : pos+2*s-1 : pos+2*s-1]})
 			pos += 2*s - 1
 		}
 	}
+	rank := q.perClass(q.cur.rank, k)
+	clear(rank)
 	scratch := q.perClass(q.scratch, k)
 	parallelDo(len(cs), 1, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			a, b := groupLo(owner[t]), at[owner[t]]
-			q.rows.Build(cs[t].T, grouped[a:b], scratch[a:b])
+			a, b := at[owner[t]], at[owner[t]+1]
+			q.rows.Build(cs[t].T, grouped[a:b], scratch[a:b], rank)
 		}
 	})
-	q.at, q.grouped, q.scratch, q.byLabel, q.owner = at, grouped, scratch, byLabel, owner
+	q.cur.rank, q.scratch, q.byLabel, q.owner = rank, scratch, byLabel, owner
 	return trie.NewLevelList(q.depth, cs), nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/classviews"
 	"repro/internal/families"
 	"repro/internal/graph"
+	"repro/internal/trie"
 	"repro/internal/view"
 )
 
@@ -49,33 +50,57 @@ func quotientFamilies() map[string]*graph.Graph {
 	}
 }
 
-// TestClassRanksMatchCompare pins the oracle's own evaluation of the
-// canonical order: on every family and at every depth, the quotient's
-// class ranks order the classviews class views — the same classes, one
-// interned view each — exactly as Table.Compare does.
-func TestClassRanksMatchCompare(t *testing.T) {
+// TestSiblingRanksMatchCompare pins the oracle's own evaluation of the
+// canonical order: on every family and at every depth below φ, the
+// classes with one parent — the siblings whose order the next depth's
+// tries read — are ranked 0..s−1 in Table.Compare order of their
+// classviews class views (the same classes, one interned view each).
+// Depth 0's classes have no parent and form one group. The quotient
+// advances as ComputeAdviceCtx advances it.
+func TestSiblingRanksMatchCompare(t *testing.T) {
+	compared := 0
 	for name, g := range quotientFamilies() {
 		tab := view.NewTable()
 		mat := classviews.New(tab, g)
 		q := newQuotient(g)
-		for {
+		var e1 trie.Trie
+		var e2 trie.E2
+		for q.cur.k < g.N() {
 			views := mat.Views()
 			if len(views) != q.cur.k {
 				t.Fatalf("%s depth %d: %d class views, %d quotient classes", name, q.depth, len(views), q.cur.k)
 			}
-			byCompare := q.identity(q.cur.k)
-			slices.SortFunc(byCompare, func(a, b int32) int { return tab.Compare(views[a], views[b]) })
-			for i, c := range byCompare {
-				if q.cur.rank[c] != int32(i) {
-					t.Fatalf("%s depth %d: class %d has rank %d, Table.Compare places it %d", name, q.depth, c, q.cur.rank[c], i)
+			groups := make([][]int32, max(q.prev.k, 1))
+			for c := range int32(q.cur.k) {
+				p := int32(0)
+				if q.depth > 0 {
+					p = q.parent[c]
+				}
+				groups[p] = append(groups[p], c)
+			}
+			for _, members := range groups {
+				slices.SortFunc(members, func(a, b int32) int { return tab.Compare(views[a], views[b]) })
+				for i, c := range members {
+					if q.cur.rank[c] != int32(i) {
+						t.Fatalf("%s depth %d: class %d has sibling rank %d, Table.Compare places it %d of %d", name, q.depth, c, q.cur.rank[c], i, len(members))
+					}
+				}
+				if len(members) > 1 {
+					compared++
 				}
 			}
-			if q.cur.k == g.N() || !q.step() {
+			ok, err := q.next(&e1, &e2)
+			if err != nil {
+				t.Fatalf("%s depth %d: %v", name, q.depth+1, err)
+			}
+			if !ok {
 				break
 			}
 			mat.Step()
-			q.rank()
 		}
+	}
+	if compared == 0 {
+		t.Fatal("no group of two or more siblings to compare")
 	}
 }
 

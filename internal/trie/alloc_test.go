@@ -22,13 +22,13 @@ func TestRowsBuildAllocs(t *testing.T) {
 			r.Rank[i], r.Label[i] = int32(i), int32(i+1)
 		}
 		members := make([]int32, size)
-		scratch := make([]int32, size)
+		scratch, rank := make([]int32, size), make([]int32, size)
 		dst := make(Trie, 2*size-1)
 		got := testing.AllocsPerRun(5, func() {
 			for i := range members {
 				members[i] = int32(i)
 			}
-			r.Build(dst, members, scratch)
+			r.Build(dst, members, scratch, rank)
 		})
 		if got != 0 {
 			t.Errorf("Rows.Build over %d classes allocates %v times, want 0", size, got)

@@ -147,7 +147,8 @@ func TestSharedLabelerConcurrentMatchesSequential(t *testing.T) {
 // TestRowsBuildMatchesBuildTrie pins the class-row builder to the view
 // builder: numbering each depth's distinct views as classes, Rows.Build
 // over a group of classes sharing a truncation writes exactly the trie
-// BuildTrie returns for the group's views.
+// BuildTrie returns for the group's views, and ranks each member at its
+// position in Table.Compare order of the group's views.
 func TestRowsBuildMatchesBuildTrie(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.RandomConnected(60, 20, 2), // φ = 3
@@ -171,7 +172,8 @@ func TestRowsBuildMatchesBuildTrie(t *testing.T) {
 		groups := 0
 		for d := 2; d <= phi; d++ {
 			prev, prevID := classes(d - 1)
-			cur, _ := classes(d)
+			cur, curID := classes(d)
+			rank := make([]int32, len(cur))
 			r := Rows{Off: []int32{0}, Rank: make([]int32, len(prev)), Label: make([]int32, len(prev))}
 			for c, rk := range tab.Ranks(prev, nil) {
 				r.Rank[c] = int32(rk & (1<<32 - 1))
@@ -197,9 +199,15 @@ func TestRowsBuildMatchesBuildTrie(t *testing.T) {
 				}
 				want := lb.BuildTrie(vs, e1, e2)
 				got := make(Trie, 2*len(members)-1)
-				r.Build(got, members, make([]int32, len(members)))
+				r.Build(got, members, make([]int32, len(members)), rank)
 				if !slices.Equal(got, want) {
 					t.Fatalf("depth %d: Rows.Build %v, BuildTrie %v", d, got, want)
+				}
+				slices.SortFunc(vs, tab.Compare)
+				for i, v := range vs {
+					if c := curID[v]; rank[c] != int32(i) {
+						t.Fatalf("depth %d: Rows.Build ranks class %d at %d, Table.Compare at %d", d, c, rank[c], i)
+					}
 				}
 			}
 		}

@@ -335,10 +335,12 @@ func partition[T any](s, scratch []T, left func(T) bool) int {
 
 // Rows is one depth d >= 2 of the class quotient, as Build reads it:
 // row c lists, port by port, the depth-(d−1) class of the child behind
-// that port of depth-d class c; Rank and Label give the canonical rank
-// and the temporary label of every depth-(d−1) class. By the quotient
-// argument a depth-d class is one depth-d view and a depth-(d−1) class
-// is one child view, so equal child class means equal child view.
+// that port of depth-d class c; Label gives the temporary label of
+// every depth-(d−1) class, and Rank its rank among its siblings — the
+// depth-(d−1) classes with the same parent class at d−2 — in canonical
+// order. By the quotient argument a depth-d class is one depth-d view
+// and a depth-(d−1) class is one child view, so equal child class means
+// equal child view.
 type Rows struct {
 	Off   []int32 // the row of class c is Child[Off[c]:Off[c+1]]
 	Child []int32
@@ -348,16 +350,19 @@ type Rows struct {
 
 // Build is the deeper-level case of Algorithm 4 over depth-d classes: it
 // writes into dst, which must hold exactly 2·len(members)−1 nodes, the
-// trie discriminating the views of the classes in members. The members
-// must share their depth-(d−1) class — the views' common truncation —
-// so they agree on degree and remote ports, and canonical order among
-// them is decided by their children's ranks. Every split is that of
-// the view form: the first port where the two canonically smallest
-// members' children differ, asked against the label of the smaller of
-// those two children. members is reordered and scratch (at least as
-// long) overwritten; Build allocates nothing, so a level's tries can
-// share one arena.
-func (r *Rows) Build(dst Trie, members, scratch []int32) {
+// trie discriminating the views of the classes in members, and sets
+// rank[c] to member c's position in canonical order among members. The
+// members must share their depth-(d−1) class — the views' common
+// truncation — so they agree on degree and remote ports, and their
+// children behind each port share a depth-(d−2) class: they are
+// siblings, ordered by their sibling ranks. Every split is that of the
+// view form: the first port where the two canonically smallest members'
+// children differ, asked against the label of the smaller of those two
+// children. members is reordered, scratch (at least as long) overwritten
+// and only the members' entries of rank written, so disjoint groups can
+// be built concurrently. Build allocates nothing, so a level's tries
+// can share one arena.
+func (r *Rows) Build(dst Trie, members, scratch, rank []int32) {
 	if len(members) == 0 {
 		panic("trie: BuildTrie of empty set")
 	}
@@ -368,12 +373,15 @@ func (r *Rows) Build(dst Trie, members, scratch []int32) {
 	// sorted, so the two smallest members of every subtree are its
 	// first two.
 	slices.SortFunc(members, func(a, b int32) int { return r.compare(r.row(a), r.row(b)) })
+	for i, c := range members {
+		rank[c] = int32(i)
+	}
 	r.build(dst, 0, members, scratch)
 }
 
 func (r *Rows) row(c int32) []int32 { return r.Child[r.Off[c]:r.Off[c+1]] }
 
-// compare orders two rows of one group by the canonical ranks of their
+// compare orders two rows of one group by the sibling ranks of their
 // children.
 func (r *Rows) compare(a, b []int32) int {
 	for j := range a {

@@ -10,10 +10,12 @@ package election
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/advice"
 	"repro/internal/bits"
+	"repro/internal/graph"
 	"repro/internal/view"
 )
 
@@ -58,6 +60,38 @@ func TestOracleEquivalenceRandomSweep(t *testing.T) {
 			g := RandomConnected(n, n/2+int(seed), seed)
 			checkOracleEquivalence(t, fmt.Sprintf("random-n%d-s%d", n, seed), g)
 		}
+	}
+}
+
+// TestOracleEquivalenceDeep covers graphs deep enough that many groups
+// of two or more sibling classes sit below depth 2, where the oracle
+// ranks classes only among their siblings: relabeled grids (φ 7 to 19),
+// a lollipop and a broom with long tails, and larger random graphs. The
+// cases run in parallel, and their sizes keep the reference oracle
+// within a few seconds under -race.
+func TestOracleEquivalenceDeep(t *testing.T) {
+	relabeled := func(w int, seed int64) *Graph {
+		g := GridStream(w, w+1)
+		return graph.RelabelNodes(g, rand.New(rand.NewSource(seed)).Perm(g.N()))
+	}
+	cases := map[string]func() *Graph{
+		"grid-40x41-s3": func() *Graph { return relabeled(40, 3) },
+		"lollipop-6-40": func() *Graph { return Lollipop(6, 40) },
+		"broom-4-30":    func() *Graph { return Broom(4, 30) },
+	}
+	for _, w := range []int{16, 24, 32} {
+		for seed := range int64(3) {
+			cases[fmt.Sprintf("grid-%dx%d-s%d", w, w+1, seed)] = func() *Graph { return relabeled(w, seed) }
+		}
+	}
+	for _, n := range []int{5000, 7000} {
+		cases[fmt.Sprintf("random-n%d", n)] = func() *Graph { return RandomConnected(n, n/2, 1) }
+	}
+	for name, g := range cases {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			checkOracleEquivalence(t, name, g())
+		})
 	}
 }
 
