@@ -141,14 +141,13 @@ func (h *hasher) regroup() {
 func (h *hasher) sigLess(v, w int32) bool { return h.sigCmp(v, w) < 0 }
 
 func (h *hasher) sigCmp(v, w int32) int {
-	g := h.g
-	d := g.Deg(int(v))
-	for p := 0; p < d; p++ {
-		hv, hw := g.At(int(v), p), g.At(int(w), p)
-		if hv.RemotePort != hw.RemotePort {
-			return hv.RemotePort - hw.RemotePort
+	off, to, rport := h.g.CSR()
+	a, b, d := off[v], off[w], off[v+1]-off[v]
+	for p := int32(0); p < d; p++ {
+		if rv, rw := rport[a+p], rport[b+p]; rv != rw {
+			return int(rv - rw)
 		}
-		if cv, cw := h.canon[hv.To], h.canon[hw.To]; cv != cw {
+		if cv, cw := h.canon[to[a+p]], h.canon[to[b+p]]; cv != cw {
 			return int(cv - cw)
 		}
 	}

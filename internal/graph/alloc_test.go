@@ -25,3 +25,17 @@ func TestUnmarshalBinaryEdgelessAllocs(t *testing.T) {
 		t.Fatalf("an edgeless header allocates %v times for 2^10 nodes and %v for 2^20", small, large)
 	}
 }
+
+// TestUnmarshalBinaryAllocs pins decoding a 10k-node body to a bounded
+// number of allocations: Finalize writes the CSR arrays directly, so the
+// count grows with the log of the edge count (the Builder's edge slice),
+// not with the nodes.
+func TestUnmarshalBinaryAllocs(t *testing.T) {
+	data, _ := RandomConnectedStream(10000, 10000, 1).MarshalBinary()
+	if _, err := UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _, _ = UnmarshalBinary(data) }); allocs >= 100 {
+		t.Fatalf("decoding a 10k-node body allocates %v times, want fewer than 100", allocs)
+	}
+}

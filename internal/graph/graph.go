@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 )
 
@@ -24,11 +24,16 @@ type Half struct {
 	RemotePort int // port number of this edge at the neighbor
 }
 
-// Graph is an immutable port-labeled graph. adj[v][p] is the half-edge
-// leaving v through port p. Construct graphs with a Builder.
+// Graph is an immutable port-labeled graph, stored as one int32 CSR:
+// the half-edge leaving v through port p has index off[v]+p, to[i] is
+// its far end and rport[i] the port number there. Every layer that
+// walks the graph by index (refinement, delay models, shard workers)
+// reads these arrays through CSR instead of copying them. Construct
+// graphs with a Builder or a *Stream constructor.
 type Graph struct {
-	adj [][]Half
-	m   int // edge count, cached at Finalize: M() sits on per-round hot paths
+	off   []int32 // n+1 row offsets
+	to    []int32 // 2m neighbor ids
+	rport []int32 // 2m remote ports
 
 	// Diameter caches. The exact diameter is an all-pairs BFS —
 	// O(n·(n+m)) — so it is memoized on first use; the double-sweep
@@ -41,30 +46,61 @@ type Graph struct {
 	diamHi     int
 }
 
+// newSlabGraph returns a graph with the given degrees and m edges: off
+// is the prefix sum of deg, to and rport are zeroed for the caller to
+// fill through set.
+func newSlabGraph(deg []int32, m int) *Graph {
+	if len(deg) > math.MaxInt32 || 2*m > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes and %d edges exceed the int32 layout", len(deg), m))
+	}
+	g := &Graph{off: make([]int32, len(deg)+1), to: make([]int32, 2*m), rport: make([]int32, 2*m)}
+	for v, d := range deg {
+		g.off[v+1] = g.off[v] + d
+	}
+	return g
+}
+
+// set writes the half-edge leaving v through port p.
+func (g *Graph) set(v, p, to, rport int) {
+	lo, hi := g.off[v], g.off[v+1]
+	g.to[lo:hi][p] = int32(to)
+	g.rport[lo:hi][p] = int32(rport)
+}
+
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of (undirected) edges.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return len(g.to) / 2 }
 
 // Deg returns the degree of node v.
-func (g *Graph) Deg(v int) int { return len(g.adj[v]) }
+func (g *Graph) Deg(v int) int { return int(g.off[v+1] - g.off[v]) }
 
-// At returns the half-edge leaving v through port p.
-func (g *Graph) At(v, p int) Half { return g.adj[v][p] }
+// CSR returns the graph's own arrays: node v's half-edges are indices
+// off[v] .. off[v+1]-1 in port order, to[i] is the neighbor reached
+// and rport[i] the port number at it. Callers must not modify them.
+func (g *Graph) CSR() (off, to, rport []int32) { return g.off, g.to, g.rport }
+
+// At returns the half-edge leaving v through port p. Like Neighbor and
+// PortBack it indexes v's row, so a p outside [0, Deg(v)) panics
+// instead of reading the next node's half-edge.
+func (g *Graph) At(v, p int) Half {
+	lo, hi := g.off[v], g.off[v+1]
+	return Half{To: int(g.to[lo:hi][p]), RemotePort: int(g.rport[lo:hi][p])}
+}
 
 // Neighbor returns the node reached from v through port p.
-func (g *Graph) Neighbor(v, p int) int { return g.adj[v][p].To }
+func (g *Graph) Neighbor(v, p int) int { return int(g.to[g.off[v]:g.off[v+1]][p]) }
 
 // PortBack returns the port number at the other endpoint of the edge
 // leaving v through port p.
-func (g *Graph) PortBack(v, p int) int { return g.adj[v][p].RemotePort }
+func (g *Graph) PortBack(v, p int) int { return int(g.rport[g.off[v]:g.off[v+1]][p]) }
 
 // PortTo returns the port number at u of the edge {u, v}, or -1 if u and v
 // are not adjacent.
 func (g *Graph) PortTo(u, v int) int {
-	for p, h := range g.adj[u] {
-		if h.To == v {
+	for p, w := range g.to[g.off[u]:g.off[u+1]] {
+		if int(w) == v {
 			return p
 		}
 	}
@@ -100,7 +136,13 @@ func (b *Builder) AddEdge(u, pu, v, pv int) *Builder {
 	return b
 }
 
-// Finalize validates the accumulated edges and returns the graph.
+// Finalize validates the accumulated edges and returns the graph. It
+// writes the CSR in passes over the edges in input order, so an input
+// with several faults always reports the same one: the first checks
+// ranges, loops and signs and counts degrees; the second places every
+// half-edge at its port's slot, where a port at or above the degree or
+// a slot already filled is an error; then a stamp per node finds
+// parallel edges and a BFS checks connectivity.
 func (b *Builder) Finalize() (*Graph, error) {
 	// A connected graph on n nodes has at least n−1 edges. Checking that
 	// first bounds what a decoded header can make Finalize allocate by
@@ -108,13 +150,7 @@ func (b *Builder) Finalize() (*Graph, error) {
 	if b.n > 1 && len(b.edges) < b.n-1 {
 		return nil, fmt.Errorf("graph: not connected")
 	}
-	type portKey struct{ v, p int }
-	seenPort := make(map[portKey]bool)
-	seenEdge := make(map[[2]int]bool)
-	adjPorts := make([]map[int]Half, b.n)
-	for i := range adjPorts {
-		adjPorts[i] = make(map[int]Half)
-	}
+	deg := make([]int32, b.n)
 	for _, e := range b.edges {
 		if e.u < 0 || e.u >= b.n || e.v < 0 || e.v >= b.n {
 			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.u, e.v, b.n)
@@ -125,34 +161,41 @@ func (b *Builder) Finalize() (*Graph, error) {
 		if e.pu < 0 || e.pv < 0 {
 			return nil, fmt.Errorf("graph: negative port on edge {%d,%d}", e.u, e.v)
 		}
-		lo, hi := e.u, e.v
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if seenEdge[[2]int{lo, hi}] {
-			return nil, fmt.Errorf("graph: parallel edge {%d,%d}", e.u, e.v)
-		}
-		seenEdge[[2]int{lo, hi}] = true
-		if seenPort[portKey{e.u, e.pu}] {
-			return nil, fmt.Errorf("graph: port %d reused at node %d", e.pu, e.u)
-		}
-		if seenPort[portKey{e.v, e.pv}] {
-			return nil, fmt.Errorf("graph: port %d reused at node %d", e.pv, e.v)
-		}
-		seenPort[portKey{e.u, e.pu}] = true
-		seenPort[portKey{e.v, e.pv}] = true
-		adjPorts[e.u][e.pu] = Half{To: e.v, RemotePort: e.pv}
-		adjPorts[e.v][e.pv] = Half{To: e.u, RemotePort: e.pu}
+		deg[e.u]++
+		deg[e.v]++
 	}
-	g := &Graph{adj: make([][]Half, b.n), m: len(seenEdge)}
-	for v, ports := range adjPorts {
-		d := len(ports)
-		g.adj[v] = make([]Half, d)
-		for p, h := range ports {
-			if p >= d {
-				return nil, fmt.Errorf("graph: node %d has degree %d but uses port %d", v, d, p)
+	g := newSlabGraph(deg, len(b.edges))
+	for i := range g.to {
+		g.to[i] = -1
+	}
+	place := func(v, p, to, rport int) error {
+		if d := g.Deg(v); p >= d {
+			return fmt.Errorf("graph: node %d has degree %d but uses port %d", v, d, p)
+		}
+		if g.to[int(g.off[v])+p] >= 0 {
+			return fmt.Errorf("graph: port %d reused at node %d", p, v)
+		}
+		g.set(v, p, to, rport)
+		return nil
+	}
+	for _, e := range b.edges {
+		if err := place(e.u, e.pu, e.v, e.pv); err != nil {
+			return nil, err
+		}
+		if err := place(e.v, e.pv, e.u, e.pu); err != nil {
+			return nil, err
+		}
+	}
+	// deg is free now: it becomes the stamp array, seen[u] = v+1 when u
+	// was already met among v's neighbors.
+	seen := deg
+	clear(seen)
+	for v := 0; v < b.n; v++ {
+		for _, u := range g.to[g.off[v]:g.off[v+1]] {
+			if seen[u] == int32(v+1) {
+				return nil, fmt.Errorf("graph: parallel edge {%d,%d}", min(v, int(u)), max(v, int(u)))
 			}
-			g.adj[v][p] = h
+			seen[u] = int32(v + 1)
 		}
 	}
 	if b.n > 1 && !g.Connected() {
@@ -197,10 +240,10 @@ func (g *Graph) BFSDist(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, h := range g.adj[u] {
-			if dist[h.To] < 0 {
-				dist[h.To] = dist[u] + 1
-				queue = append(queue, h.To)
+		for _, w := range g.to[g.off[u]:g.off[u+1]] {
+			if dist[w] < 0 {
+				dist[w] = dist[u] + 1
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -281,33 +324,30 @@ type TreeEdge struct {
 // CanonicalBFSTree returns the canonical BFS tree of g rooted at root, as
 // used by the advice item A2 of the paper: the parent of each node u at
 // BFS level i+1 is the level-i neighbor of u reachable through the
-// smallest port number at u.
+// smallest port number at u. Edges come sorted by (Parent, PortParent):
+// after each node's port toward its parent is found, walking the parents
+// in node order and their ports in order emits them in that order, in
+// O(n+m) with no sort.
 func (g *Graph) CanonicalBFSTree(root int) []TreeEdge {
 	dist := g.BFSDist(root)
-	edges := make([]TreeEdge, 0, g.N()-1)
-	for u := 0; u < g.N(); u++ {
-		if u == root {
-			continue
-		}
-		for p := 0; p < g.Deg(u); p++ {
-			h := g.adj[u][p]
-			if dist[h.To] == dist[u]-1 {
-				edges = append(edges, TreeEdge{
-					Parent:     h.To,
-					Child:      u,
-					PortParent: h.RemotePort,
-					PortChild:  p,
-				})
+	up := make([]int32, g.N()) // u's smallest port toward level dist[u]-1
+	for u := range up {
+		for p, w := range g.to[g.off[u]:g.off[u+1]] {
+			if dist[w] == dist[u]-1 {
+				up[u] = int32(p)
 				break
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Parent != edges[j].Parent {
-			return edges[i].Parent < edges[j].Parent
+	edges := make([]TreeEdge, 0, g.N()-1)
+	for v := 0; v < g.N(); v++ {
+		for q := range g.Deg(v) {
+			u, pu := g.Neighbor(v, q), g.PortBack(v, q)
+			if dist[u] == dist[v]+1 && up[u] == int32(pu) {
+				edges = append(edges, TreeEdge{Parent: v, Child: u, PortParent: q, PortChild: pu})
+			}
 		}
-		return edges[i].PortParent < edges[j].PortParent
-	})
+	}
 	return edges
 }
 
@@ -335,7 +375,7 @@ func (g *Graph) AppendPath(dst []int, v int, ports []int) ([]int, error) {
 		if p < 0 || p >= g.Deg(cur) {
 			return nil, fmt.Errorf("graph: port %d invalid at node of degree %d", p, g.Deg(cur))
 		}
-		h := g.adj[cur][p]
+		h := g.At(cur, p)
 		if h.RemotePort != q {
 			return nil, fmt.Errorf("graph: step %d: expected arrival port %d, edge has %d", i/2, q, h.RemotePort)
 		}
@@ -396,7 +436,7 @@ func mapFromAnchor(g, h *Graph, anchor int) []int {
 			return nil
 		}
 		for p := 0; p < g.Deg(u); p++ {
-			gh, hh := g.adj[u][p], h.adj[fu][p]
+			gh, hh := g.At(u, p), h.At(fu, p)
 			if gh.RemotePort != hh.RemotePort {
 				return nil
 			}

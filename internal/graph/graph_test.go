@@ -31,6 +31,30 @@ func TestBuilderValidGraph(t *testing.T) {
 	}
 }
 
+// TestAtPanicsOutOfRange pins the row bounds of the CSR accessors: a
+// port outside [0, Deg(v)) panics instead of reading a neighbor's
+// half-edge, which a bare off[v]+p index would. In a path, node 0's
+// port 1 and node 1's port -1 are both valid CSR indices.
+func TestAtPanicsOutOfRange(t *testing.T) {
+	g := Path(3)
+	for _, tc := range []struct{ v, p int }{{0, g.Deg(0)}, {1, g.Deg(1)}, {1, -1}} {
+		for name, f := range map[string]func(){
+			"At":       func() { g.At(tc.v, tc.p) },
+			"Neighbor": func() { g.Neighbor(tc.v, tc.p) },
+			"PortBack": func() { g.PortBack(tc.v, tc.p) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d, %d) did not panic", name, tc.v, tc.p)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+}
+
 func TestBuilderRejectsSelfLoop(t *testing.T) {
 	_, err := NewBuilder(2).AddEdge(0, 0, 0, 1).Finalize()
 	if err == nil {
@@ -256,6 +280,27 @@ func TestCanonicalBFSTree(t *testing.T) {
 	tree = p.CanonicalBFSTree(2)
 	if len(tree) != 4 {
 		t.Fatalf("path tree edges = %d", len(tree))
+	}
+	// A2's order: edges ascend by (Parent, PortParent), and each child
+	// hangs off its smallest port one level up.
+	r := RandomConnected(60, 40, 2)
+	dist := r.BFSDist(5)
+	tree = r.CanonicalBFSTree(5)
+	if len(tree) != r.N()-1 {
+		t.Fatalf("random tree edges = %d", len(tree))
+	}
+	for i, e := range tree {
+		if i > 0 && (e.Parent < tree[i-1].Parent || e.Parent == tree[i-1].Parent && e.PortParent <= tree[i-1].PortParent) {
+			t.Fatalf("edge %d %+v follows %+v", i, e, tree[i-1])
+		}
+		if r.At(e.Child, e.PortChild) != (Half{To: e.Parent, RemotePort: e.PortParent}) || dist[e.Parent] != dist[e.Child]-1 {
+			t.Fatalf("edge %+v is not a tree edge one level up", e)
+		}
+		for p := 0; p < e.PortChild; p++ {
+			if dist[r.Neighbor(e.Child, p)] == dist[e.Parent] {
+				t.Fatalf("edge %+v: child port %d also leads one level up", e, p)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -16,32 +15,21 @@ import (
 //	n <nodes>
 //	e <u> <portAtU> <v> <portAtV>
 //
-// Each undirected edge appears exactly once. WriteTo emits edges sorted
-// by (min endpoint, port) so output is canonical: two equal graphs
-// serialize identically.
+// Each undirected edge appears exactly once. WriteTo emits edges in
+// (min endpoint, port) order — the order its walk over nodes and ports
+// meets them — so output is canonical: two equal graphs serialize
+// identically.
 
 // WriteTo serializes g in the text format.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "n %d\n", g.N())
-	type edge struct{ u, pu, v, pv int }
-	var edges []edge
 	for u := 0; u < g.N(); u++ {
 		for p := 0; p < g.Deg(u); p++ {
-			h := g.At(u, p)
-			if u < h.To {
-				edges = append(edges, edge{u, p, h.To, h.RemotePort})
+			if h := g.At(u, p); u < h.To {
+				fmt.Fprintf(&sb, "e %d %d %d %d\n", u, p, h.To, h.RemotePort)
 			}
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].pu < edges[j].pu
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&sb, "e %d %d %d %d\n", e.u, e.pu, e.v, e.pv)
 	}
 	n, err := io.WriteString(w, sb.String())
 	return int64(n), err

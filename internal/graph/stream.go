@@ -6,31 +6,17 @@ import (
 	"slices"
 )
 
-// Streaming constructors: the Builder validates through hash maps — a
-// seenEdge map, a seenPort map, and one port map per node — which is
-// fine at test sizes but allocates several hundred bytes per edge, so at
-// n=10M the temporary maps cost more memory than the refinement they
-// feed. The *Stream constructors below build the same graphs against a
-// single []Half slab with sort+dedup over packed uint64 edges instead of
-// maps: correctness comes from the construction (ports are permutations
-// by construction, the spanning tree gives connectivity), and the
+// Streaming constructors: the Builder takes arbitrary edge lists and
+// so validates every one (two passes over the edges, a per-node stamp
+// for parallel edges, a BFS for connectivity) and its generators are
+// written for clarity, some with maps of their own. The *Stream
+// constructors below write the CSR of newSlabGraph directly, with
+// sort+dedup over packed uint64 edges where a construction needs it:
+// correctness comes from the construction (ports are permutations by
+// construction, the spanning tree gives connectivity), and the
 // Builder-based forms remain the reference the equivalence tests pin
 // against — each Stream constructor is bit-identical to its Builder
 // counterpart, including the rand stream it consumes.
-
-// newSlabGraph returns a graph whose adjacency rows are slices of one
-// shared slab, sized by deg. Rows are zeroed; the caller fills every
-// position.
-func newSlabGraph(deg []int32, m int) *Graph {
-	slab := make([]Half, 2*m)
-	g := &Graph{adj: make([][]Half, len(deg)), m: m}
-	at := 0
-	for v, d := range deg {
-		g.adj[v] = slab[at : at+int(d) : at+int(d)]
-		at += int(d)
-	}
-	return g
-}
 
 // TorusStream is Torus without the Builder: the w x h toroidal grid
 // (w, h >= 3) with port order left, right, up, down at every node,
@@ -48,10 +34,10 @@ func TorusStream(w, h int) *Graph {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			v := x + w*y
-			g.adj[v][0] = Half{To: (x+w-1)%w + w*y, RemotePort: 1}
-			g.adj[v][1] = Half{To: (x+1)%w + w*y, RemotePort: 0}
-			g.adj[v][2] = Half{To: x + w*((y+h-1)%h), RemotePort: 3}
-			g.adj[v][3] = Half{To: x + w*((y+1)%h), RemotePort: 2}
+			g.set(v, 0, (x+w-1)%w+w*y, 1)
+			g.set(v, 1, (x+1)%w+w*y, 0)
+			g.set(v, 2, x+w*((y+h-1)%h), 3)
+			g.set(v, 3, x+w*((y+1)%h), 2)
 		}
 	}
 	return g
@@ -108,16 +94,16 @@ func GridStream(w, h int) *Graph {
 		for x := 0; x < w; x++ {
 			v := x + w*y
 			if x > 0 {
-				g.adj[v][gridPort(x, y, w, h, 0)] = Half{To: v - 1, RemotePort: gridPort(x-1, y, w, h, 1)}
+				g.set(v, gridPort(x, y, w, h, 0), v-1, gridPort(x-1, y, w, h, 1))
 			}
 			if x < w-1 {
-				g.adj[v][gridPort(x, y, w, h, 1)] = Half{To: v + 1, RemotePort: gridPort(x+1, y, w, h, 0)}
+				g.set(v, gridPort(x, y, w, h, 1), v+1, gridPort(x+1, y, w, h, 0))
 			}
 			if y > 0 {
-				g.adj[v][gridPort(x, y, w, h, 2)] = Half{To: v - w, RemotePort: gridPort(x, y-1, w, h, 3)}
+				g.set(v, gridPort(x, y, w, h, 2), v-w, gridPort(x, y-1, w, h, 3))
 			}
 			if y < h-1 {
-				g.adj[v][gridPort(x, y, w, h, 3)] = Half{To: v + w, RemotePort: gridPort(x, y+1, w, h, 2)}
+				g.set(v, gridPort(x, y, w, h, 3), v+w, gridPort(x, y+1, w, h, 2))
 			}
 		}
 	}
@@ -139,7 +125,7 @@ func HypercubeStream(d int) *Graph {
 	g := newSlabGraph(deg, n*d/2)
 	for v := 0; v < n; v++ {
 		for i := 0; i < d; i++ {
-			g.adj[v][i] = Half{To: v ^ (1 << uint(i)), RemotePort: i}
+			g.set(v, i, v^(1<<uint(i)), i)
 		}
 	}
 	return g
@@ -162,27 +148,19 @@ func ShufflePortsStream(g *Graph, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.N()
 	deg := make([]int32, n)
-	maxDeg := 0
+	// One flat permutation slab over g's half-edge indices, consumed in
+	// node order — the same rng stream rand.Perm would draw in
+	// ShufflePorts: perm[off[v]+p] is the new number of v's port p.
+	perm := make([]int32, len(g.to))
 	for v := 0; v < n; v++ {
 		deg[v] = int32(g.Deg(v))
-		if g.Deg(v) > maxDeg {
-			maxDeg = g.Deg(v)
-		}
-	}
-	// One flat permutation slab, consumed in node order — the same rng
-	// stream rand.Perm would draw in ShufflePorts.
-	perm := make([]int32, 2*g.M())
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
-		permInto(rng, perm[off[v]:], int(deg[v]))
+		permInto(rng, perm[g.off[v]:], g.Deg(v))
 	}
 	out := newSlabGraph(deg, g.M())
 	for v := 0; v < n; v++ {
-		pv := perm[off[v]:off[v+1]]
-		for p := 0; p < int(deg[v]); p++ {
-			h := g.At(v, p)
-			out.adj[v][pv[p]] = Half{To: h.To, RemotePort: int(perm[off[h.To]+int32(h.RemotePort)])}
+		for i := g.off[v]; i < g.off[v+1]; i++ {
+			u := g.to[i]
+			out.set(v, int(perm[i]), int(u), int(perm[g.off[u]+g.rport[i]]))
 		}
 	}
 	return out
@@ -194,9 +172,10 @@ func ShufflePortsStream(g *Graph, seed int64) *Graph {
 // port permutation per node — consuming the same rng stream, so for any
 // (n, extra, seed) it returns a graph bit-identical to
 // RandomConnected(n, extra, seed). Edge bookkeeping is a packed-uint64
-// sort+compact and all adjacency lives in one slab, so construction is
-// O(m log m) time and O(m) memory with no map overhead — the path that
-// makes n=10M graphs constructible before refinement even starts.
+// sort+compact and the adjacency is written straight into the CSR, so
+// construction is O(m log m) time and O(m) memory with no map overhead
+// — the path that makes n=10M graphs constructible before refinement
+// even starts.
 func RandomConnectedStream(n, extra int, seed int64) *Graph {
 	if n < 2 {
 		panic("graph.RandomConnectedStream: need n >= 2")
@@ -227,24 +206,16 @@ func RandomConnectedStream(n, extra int, seed int64) *Graph {
 	m := len(edges)
 
 	deg := make([]int32, n)
-	maxDeg := int32(0)
 	for _, e := range edges {
 		deg[e>>32]++
 		deg[e&0xffffffff]++
 	}
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
+	g := newSlabGraph(deg, m)
+	off := g.off
 
 	// Incidence in ascending (u, v) edge order per node — the canonical
 	// order RandomConnected sorts each node's edge list into — so the
 	// i-th port draw of a node lands on the same edge in both builds.
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
 	inc := make([]int32, 2*m)
 	slot := make([]int32, n)
 	copy(slot, off[:n])
@@ -260,7 +231,7 @@ func RandomConnectedStream(n, extra int, seed int64) *Graph {
 	// RandomConnected uses), recorded per edge endpoint.
 	portLo := make([]int32, m) // port at the smaller endpoint
 	portHi := make([]int32, m) // port at the larger endpoint
-	pbuf := make([]int32, maxDeg)
+	pbuf := make([]int32, slices.Max(deg))
 	for v := 0; v < n; v++ {
 		permInto(rng, pbuf, int(deg[v]))
 		for i := off[v]; i < off[v+1]; i++ {
@@ -273,11 +244,10 @@ func RandomConnectedStream(n, extra int, seed int64) *Graph {
 		}
 	}
 
-	g := newSlabGraph(deg, m)
 	for i, e := range edges {
 		u, v := int(e>>32), int(e&0xffffffff)
-		g.adj[u][portLo[i]] = Half{To: v, RemotePort: int(portHi[i])}
-		g.adj[v][portHi[i]] = Half{To: u, RemotePort: int(portLo[i])}
+		g.set(u, int(portLo[i]), v, int(portHi[i]))
+		g.set(v, int(portHi[i]), u, int(portLo[i]))
 	}
 	return g
 }

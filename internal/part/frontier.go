@@ -96,7 +96,7 @@ type FrontierRefiner struct {
 	n       int
 	workers int
 
-	// CSR adjacency in local-port order, as in Refiner.
+	// g's CSR, read only, as in Refiner.
 	off    []int32
 	nbr    []int32
 	rp     []int32
@@ -172,28 +172,8 @@ func NewFrontierRefiner(g *graph.Graph, workers int) *FrontierRefiner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := g.N()
-	r := &FrontierRefiner{n: n, workers: workers}
-	r.off = make([]int32, n+1)
-	total := 0
-	for v := 0; v < n; v++ {
-		d := g.Deg(v)
-		if d > r.maxDeg {
-			r.maxDeg = d
-		}
-		total += d
-		r.off[v+1] = int32(total)
-	}
-	r.nbr = make([]int32, total)
-	r.rp = make([]int32, total)
-	idx := 0
-	for v := 0; v < n; v++ {
-		for p := 0; p < g.Deg(v); p++ {
-			h := g.At(v, p)
-			r.nbr[idx] = int32(h.To)
-			r.rp[idx] = int32(h.RemotePort)
-			idx++
-		}
-	}
+	r := &FrontierRefiner{n: n, workers: workers, maxDeg: g.MaxDegree()}
+	r.off, r.nbr, r.rp = g.CSR()
 
 	r.class = make([]int32, n)
 	r.order = make([]int32, n)

@@ -34,8 +34,8 @@ import (
 type Refiner struct {
 	n int
 
-	// CSR adjacency in local-port order: the half-edges of node v are
-	// positions off[v] .. off[v+1]-1 of nbr (neighbor id) and rp
+	// g's CSR (graph.Graph.CSR), read only: the half-edges of node v
+	// are positions off[v] .. off[v+1]-1 of nbr (neighbor id) and rp
 	// (remote port).
 	off []int32
 	nbr []int32
@@ -73,23 +73,7 @@ type Refiner struct {
 func NewRefiner(g *graph.Graph) *Refiner {
 	n := g.N()
 	r := &Refiner{n: n}
-	r.off = make([]int32, n+1)
-	total := 0
-	for v := 0; v < n; v++ {
-		total += g.Deg(v)
-		r.off[v+1] = int32(total)
-	}
-	r.nbr = make([]int32, total)
-	r.rp = make([]int32, total)
-	idx := 0
-	for v := 0; v < n; v++ {
-		for p := 0; p < g.Deg(v); p++ {
-			h := g.At(v, p)
-			r.nbr[idx] = int32(h.To)
-			r.rp[idx] = int32(h.RemotePort)
-			idx++
-		}
-	}
+	r.off, r.nbr, r.rp = g.CSR()
 	r.class = make([]int32, n)
 	r.next = make([]int32, n)
 	r.order = make([]int32, n)

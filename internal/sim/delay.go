@@ -44,30 +44,6 @@ type DelayModel interface {
 	Delay(v, p, r int, now float64) float64
 }
 
-// edgeIndex is a CSR port offset table shared by the models that keep
-// per-directed-edge state: the directed edge leaving v through port p
-// has the dense id off[v]+p.
-type edgeIndex struct {
-	off []int32
-}
-
-func (e *edgeIndex) build(g *graph.Graph) int {
-	n := g.N()
-	if cap(e.off) < n+1 {
-		e.off = make([]int32, n+1)
-	}
-	e.off = e.off[:n+1]
-	total := int32(0)
-	for v := 0; v < n; v++ {
-		e.off[v] = total
-		total += int32(g.Deg(v))
-	}
-	e.off[n] = total
-	return int(total)
-}
-
-func (e *edgeIndex) id(v, p int) int { return int(e.off[v]) + p }
-
 // UniformDelay draws every delay independently and uniformly from
 // (0, 1] — the engine's historical default, kept bit-compatible:
 // rand.Float64 is uniform on [0, 1), so 1 - Float64() is uniform on
@@ -149,12 +125,13 @@ func (m *ParetoDelay) Delay(v, p, r int, now float64) float64 {
 // averaged away.
 type FixedEdgeDelay struct {
 	Scale float64
-	idx   edgeIndex
+	off   []int32 // g's CSR offsets: v's port p is directed edge off[v]+p
 	delay []float64
 }
 
 func (m *FixedEdgeDelay) Reset(g *graph.Graph, seed int64) {
-	total := m.idx.build(g)
+	m.off, _, _ = g.CSR()
+	total := 2 * g.M()
 	if cap(m.delay) < total {
 		m.delay = make([]float64, total)
 	}
@@ -170,7 +147,7 @@ func (m *FixedEdgeDelay) Reset(g *graph.Graph, seed int64) {
 }
 
 func (m *FixedEdgeDelay) Delay(v, p, r int, now float64) float64 {
-	return m.delay[m.idx.id(v, p)]
+	return m.delay[int(m.off[v])+p]
 }
 
 // fifoEps separates two forcibly-ordered arrivals on one link.
@@ -184,7 +161,7 @@ const fifoEps = 1e-9
 // reach a receiver in order.
 type FIFODelay struct {
 	Base DelayModel
-	idx  edgeIndex
+	off  []int32 // g's CSR offsets, as in FixedEdgeDelay
 	last []float64
 }
 
@@ -193,7 +170,8 @@ func (m *FIFODelay) Reset(g *graph.Graph, seed int64) {
 		m.Base = NewUniformDelay()
 	}
 	m.Base.Reset(g, seed)
-	total := m.idx.build(g)
+	m.off, _, _ = g.CSR()
+	total := 2 * g.M()
 	if cap(m.last) < total {
 		m.last = make([]float64, total)
 	}
@@ -208,7 +186,7 @@ func (m *FIFODelay) Delay(v, p, r int, now float64) float64 {
 	if math.IsInf(d, 1) {
 		return d
 	}
-	e := m.idx.id(v, p)
+	e := int(m.off[v]) + p
 	at := now + d
 	if at <= m.last[e] {
 		at = m.last[e] + fifoEps
@@ -232,7 +210,7 @@ type SlowCutDelay struct {
 	slow  float64
 	fast  float64
 	cross []bool
-	idx   edgeIndex
+	off   []int32 // g's CSR offsets, as in FixedEdgeDelay
 }
 
 // NewSlowCutDelay builds the adversary for the cut between inCut and
@@ -245,20 +223,21 @@ func (m *SlowCutDelay) Reset(g *graph.Graph, seed int64) {
 	if len(m.inCut) != g.N() {
 		panic("sim: SlowCutDelay cut set size does not match the graph")
 	}
-	total := m.idx.build(g)
-	if cap(m.cross) < total {
-		m.cross = make([]bool, total)
+	off, to, _ := g.CSR()
+	m.off = off
+	if cap(m.cross) < len(to) {
+		m.cross = make([]bool, len(to))
 	}
-	m.cross = m.cross[:total]
+	m.cross = m.cross[:len(to)]
 	for v := 0; v < g.N(); v++ {
-		for p := 0; p < g.Deg(v); p++ {
-			m.cross[m.idx.id(v, p)] = m.inCut[v] != m.inCut[g.At(v, p).To]
+		for i := off[v]; i < off[v+1]; i++ {
+			m.cross[i] = m.inCut[v] != m.inCut[to[i]]
 		}
 	}
 }
 
 func (m *SlowCutDelay) Delay(v, p, r int, now float64) float64 {
-	if m.cross[m.idx.id(v, p)] {
+	if m.cross[int(m.off[v])+p] {
 		return m.slow
 	}
 	return m.fast

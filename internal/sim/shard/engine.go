@@ -528,8 +528,10 @@ type worker struct {
 	// step computes the next round's local labels into next.
 	labels []int32
 	next   []int32
-	// The range's half-edges in local-port order: node i's are
-	// src[off[i]:off[i+1]], each the labels slot of its far end.
+	// off is the range's window of g's CSR offsets: local node i's
+	// half-edges are g's off[i] .. off[i+1]-1. src holds, for each of
+	// them in that order, the labels slot of its far end, so node i's
+	// are src[off[i]-off[0] : off[i+1]-off[0]].
 	off []int32
 	src []int32
 	buf []int32 // 2 × the largest local degree: one step's arguments
@@ -635,20 +637,15 @@ func (w *worker) init() error {
 		w.ghosts = append(w.ghosts, list...)
 	}
 
-	w.off = make([]int32, w.size+1)
-	for i := 0; i < w.size; i++ {
-		w.off[i+1] = w.off[i] + int32(g.Deg(w.lo+i))
-	}
-	w.src = make([]int32, w.off[w.size])
-	for i := 0; i < w.size; i++ {
-		for j := range g.Deg(w.lo + i) {
-			e := w.off[i] + int32(j)
-			if u := g.Neighbor(w.lo+i, j) - w.lo; u >= 0 && u < w.size {
-				w.src[e] = int32(u)
-			} else {
-				slot, _ := slices.BinarySearch(w.ghosts, int32(u+w.lo))
-				w.src[e] = int32(w.size + slot)
-			}
+	off, to, _ := g.CSR()
+	w.off = off[w.lo : w.lo+w.size+1]
+	w.src = make([]int32, w.off[w.size]-w.off[0])
+	for e, nb := range to[w.off[0]:w.off[w.size]] {
+		if u := int(nb) - w.lo; u >= 0 && u < w.size {
+			w.src[e] = int32(u)
+		} else {
+			slot, _ := slices.BinarySearch(w.ghosts, nb)
+			w.src[e] = int32(w.size + slot)
 		}
 	}
 	w.buf = make([]int32, 2*maxDeg)
@@ -974,6 +971,7 @@ func (w *worker) stuck(r, pendingLegs int) error {
 // neighbours' labels after.
 func (w *worker) step(r int) {
 	g := w.topo.g
+	base := w.off[0]
 	for i, p := range w.progs {
 		v := w.lo + i
 		deg := g.Deg(v)
@@ -987,7 +985,7 @@ func (w *worker) step(r int) {
 			continue
 		}
 		nbr := w.buf[:deg]
-		for j, u := range w.src[w.off[i]:w.off[i+1]] {
+		for j, u := range w.src[w.off[i]-base : w.off[i+1]-base] {
 			nbr[j] = w.labels[u]
 		}
 		w.next[i] = p.StepLabel(r, w.labels[i], nbr)
