@@ -732,12 +732,12 @@ func BenchmarkFrontierRefinement(b *testing.B) {
 	}{
 		// Small-diameter: the frontier collapses after a handful of
 		// depths, so the win is the parallel counting split itself.
-		{"random", func(n int) *graph.Graph { return graph.RandomConnectedStream(n, n/2, 1) }},
+		{"random", func(n int) *graph.Graph { return graph.RandomConnected(n, n/2, 1) }},
 		// Large-diameter: phi grows like the diameter and the frontier
 		// is a thin wave, the regime the worklist discipline targets.
 		{"sqgrid", func(n int) *graph.Graph {
 			w := int(math.Sqrt(float64(n)))
-			return graph.GridStream(w, (n+w-1)/w)
+			return graph.Grid(w, (n+w-1)/w)
 		}},
 	}
 	runIndex := func(b *testing.B, g *graph.Graph, newEngine func() part.Engine) {

@@ -26,8 +26,8 @@
 //
 // The election's rounds run on one realization, chosen by at most one
 // of -concurrent, -async and -shards; with none of them, the
-// class-sharing bulk-synchronous engine runs (-workers sizes its
-// decide-sweep pool). A flag that the chosen realization does not read
+// class-sharing bulk-synchronous engine runs (-workers bounds its
+// decide sweep's goroutines). A flag that the chosen realization does not read
 // (-wire without -concurrent, -delay without -async, -chaos or -listen
 // without -shards, -workers off BSP) is an error, not silently ignored.
 //
@@ -425,9 +425,9 @@ func makeGraph(kind string, n int, seed int64) (*election.Graph, error) {
 		}
 		return election.Lollipop(n/2+2, n-n/2-2), nil
 	case "random":
-		return election.RandomConnectedStream(n, n/2, seed), nil
+		return election.RandomConnected(n, n/2, seed), nil
 	case "grid":
-		return election.GridStream(n, n-1), nil
+		return election.Grid(n, n-1), nil
 	case "sqgrid":
 		// Near-square grid with ~n nodes total: the canonical
 		// large-diameter family (diameter ~2*sqrt(n)) where the frontier
@@ -440,7 +440,7 @@ func makeGraph(kind string, n int, seed int64) (*election.Graph, error) {
 		if h < 1 {
 			h = 1
 		}
-		return election.GridStream(w, h), nil
+		return election.Grid(w, h), nil
 	case "k-bipartite":
 		return election.CompleteBipartite(n/2, n-n/2), nil
 	case "hk":
@@ -474,13 +474,13 @@ func makeGraph(kind string, n int, seed int64) (*election.Graph, error) {
 		if h < 3 {
 			h = 3
 		}
-		return election.ShufflePortsStream(election.TorusStream(w, h), seed), nil
+		return election.ShufflePorts(election.Torus(w, h), seed), nil
 	case "hypercube":
 		d := 1
 		for 1<<(d+1) <= n {
 			d++
 		}
-		return election.ShufflePortsStream(election.HypercubeStream(d), seed), nil
+		return election.ShufflePorts(election.Hypercube(d), seed), nil
 	default:
 		return nil, fmt.Errorf("unknown graph kind %q", kind)
 	}

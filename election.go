@@ -78,16 +78,6 @@ var (
 	Wheel             = graph.Wheel
 	WheelWithTail     = graph.WheelWithTail
 	Broom             = graph.Broom
-
-	// Streaming (map-free, single-slab) constructors, bit-identical to
-	// their Builder-based counterparts above — the entry points for
-	// million-node instances, where the Builder's per-edge map
-	// bookkeeping would exhaust memory before refinement starts.
-	RandomConnectedStream = graph.RandomConnectedStream
-	ShufflePortsStream    = graph.ShufflePortsStream
-	TorusStream           = graph.TorusStream
-	HypercubeStream       = graph.HypercubeStream
-	GridStream            = graph.GridStream
 )
 
 // System owns the shared view-interning table used by the oracle and the
@@ -185,8 +175,8 @@ type Realization interface {
 
 // BSP is the default realization: the bulk-synchronous class-sharing
 // engine (sim.RunBSP) — one interned view per view class per round and
-// a Decide sweep over a worker pool. It carries end-to-end elections to
-// 100k-node graphs.
+// a parallel Decide sweep. It carries end-to-end elections to 100k-node
+// graphs.
 type BSP struct {
 	Workers int // decide-sweep workers; 0 = GOMAXPROCS
 }

@@ -18,6 +18,25 @@ import (
 	"repro/internal/view"
 )
 
+// ErrInfeasible is wrapped by the oracle's errors for graphs on which no
+// algorithm elects a leader: two nodes with equal views (symmetric
+// views), or fewer than 3 nodes, where the model is degenerate. Match it
+// with errors.Is.
+var ErrInfeasible = errors.New("advice: leader election is infeasible")
+
+// infeasibleError is an error with its own text that wraps ErrInfeasible.
+type infeasibleError string
+
+func (e infeasibleError) Error() string { return string(e) }
+func (infeasibleError) Unwrap() error   { return ErrInfeasible }
+
+var errSymmetric = infeasibleError("advice: graph is infeasible (symmetric views)")
+
+// errDegenerate is the error for a graph on n < 3 nodes.
+func errDegenerate(n int) error {
+	return infeasibleError(fmt.Sprintf("advice: leader election on %d node(s) is degenerate; model requires n >= 3", n))
+}
+
 // LabeledTreeEdge is an edge of the advice BFS tree A2, identified by the
 // temporary labels of its endpoints and the graph's port numbers.
 type LabeledTreeEdge struct {
@@ -95,7 +114,7 @@ func distinctSorted(tab *view.Table, vs []*view.View) []*view.View {
 // canonically distinguished elements and equal child class means equal
 // child view (ComputeAdviceReference, pinned bit-identical by the
 // TestOracleEquivalence* suites). The couple tries of a depth and its
-// label sweep run over a worker pool.
+// label sweep run in parallel (par.For).
 func (o *Oracle) ComputeAdvice(g *graph.Graph) (*Advice, error) {
 	return o.ComputeAdviceCtx(context.Background(), g)
 }
@@ -110,7 +129,7 @@ func (o *Oracle) ComputeAdvice(g *graph.Graph) (*Advice, error) {
 func (o *Oracle) ComputeAdviceCtx(ctx context.Context, g *graph.Graph) (*Advice, error) {
 	n := g.N()
 	if n < 3 {
-		return nil, fmt.Errorf("advice: leader election on %d node(s) is degenerate; model requires n >= 3", n)
+		return nil, errDegenerate(n)
 	}
 	q := newQuotient(g)
 	var e1 trie.Trie
@@ -124,7 +143,7 @@ func (o *Oracle) ComputeAdviceCtx(ctx context.Context, g *graph.Graph) (*Advice,
 			return nil, err
 		}
 		if !ok {
-			return nil, errors.New("advice: graph is infeasible (symmetric views)")
+			return nil, errSymmetric
 		}
 	}
 	phi := q.depth

@@ -1,6 +1,7 @@
 package advice
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -79,6 +80,33 @@ func TestComputeAdviceRejectsInfeasible(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Ring(6), graph.Hypercube(3)} {
 		if _, err := o.ComputeAdvice(g); err == nil {
 			t.Error("expected error for infeasible graph")
+		}
+	}
+}
+
+// TestInfeasibleErrorsWrapErrInfeasible pins the refusals of all three
+// oracles to ErrInfeasible, under errors.Is, with their texts unchanged.
+func TestInfeasibleErrorsWrapErrInfeasible(t *testing.T) {
+	const symmetric = "advice: graph is infeasible (symmetric views)"
+	o := NewOracle(view.NewTable())
+	for _, c := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"ring", func() error { _, err := o.ComputeAdvice(graph.Ring(6)); return err }, symmetric},
+		{"two nodes", func() error { _, err := o.ComputeAdvice(graph.Path(2)); return err },
+			"advice: leader election on 2 node(s) is degenerate; model requires n >= 3"},
+		{"naive ring", func() error { _, err := o.ComputeNaiveAdvice(graph.Ring(6), 0); return err }, symmetric},
+		{"reference ring", func() error { _, err := o.ComputeAdviceReference(graph.Ring(6)); return err }, symmetric},
+		{"reference one node", func() error { _, err := o.ComputeAdviceReference(graph.Star(0)); return err },
+			"advice: leader election on 1 node(s) is degenerate; model requires n >= 3"},
+	} {
+		err := c.run()
+		if !errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: %v does not wrap ErrInfeasible", c.name, err)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
 		}
 	}
 }

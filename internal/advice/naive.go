@@ -39,7 +39,7 @@ type NaiveAdvice struct {
 func (o *Oracle) ComputeNaiveAdvice(g *graph.Graph, maxBits int) (*NaiveAdvice, error) {
 	phi, feasible := part.ElectionIndex(g)
 	if !feasible {
-		return nil, errors.New("advice: graph is infeasible (symmetric views)")
+		return nil, errSymmetric
 	}
 	levels := view.Levels(o.Tab, g, phi)
 	distinct := distinctSorted(o.Tab, levels[phi])

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/trie"
 	"repro/internal/view"
@@ -186,12 +187,12 @@ func (q *quotient) group() (at, grouped []int32) {
 // of one degree: by remote ports, then the depth-0 ranks of the
 // children — the key view.rankLess sorts views by, below the degree.
 // Distinct classes are distinct views, so no two keys tie. The groups
-// are sorted over the worker pool.
+// are sorted in parallel.
 func (q *quotient) rankDepth1() {
 	off, child, port, prevRank := q.rows.Off, q.rows.Child, q.port, q.prev.rank
 	at, grouped := q.group()
 	rank := q.perClass(q.cur.rank, q.cur.k)
-	parallelDo(q.prev.k, 1, func(lo, hi int) {
+	par.For(q.prev.k, q.cur.k, 0, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			members := grouped[at[p]:at[p+1]]
 			slices.SortFunc(members, func(a, b int32) int {
@@ -229,7 +230,7 @@ func (q *quotient) depth1() trie.Trie {
 	}
 	e1 := trie.BuildDepth1(encs)
 	label := q.cur.label
-	parallelDo(len(encs), sweepChunk(len(encs)), func(lo, hi int) {
+	par.For(len(encs), len(encs), 0, func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			label[c] = int32(e1.LocalLabel1(encs[c]))
 		}
@@ -242,9 +243,9 @@ func (q *quotient) depth1() trie.Trie {
 // trie over the group's rows). Building a group's trie ranks its
 // members; a class alone in its group is never compared with another,
 // so its rank is 0. The tries of a level are carved out of one arena —
-// a trie over s classes has exactly 2s−1 nodes — and built over the
-// worker pool; each writes only its own group's range of the shared
-// buffers and its members' ranks.
+// a trie over s classes has exactly 2s−1 nodes — and built in parallel;
+// each writes only its own group's range of the shared buffers and its
+// members' ranks.
 func (q *quotient) level() (trie.LevelList, error) {
 	k, kPrev := q.cur.k, q.prev.k
 	at, grouped := q.group()
@@ -282,7 +283,7 @@ func (q *quotient) level() (trie.LevelList, error) {
 	rank := q.perClass(q.cur.rank, k)
 	clear(rank)
 	scratch := q.perClass(q.scratch, k)
-	parallelDo(len(cs), 1, func(lo, hi int) {
+	par.For(len(cs), k, 0, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			a, b := at[owner[t]], at[owner[t]+1]
 			q.rows.Build(cs[t].T, grouped[a:b], scratch[a:b], rank)
@@ -298,7 +299,7 @@ func (q *quotient) level() (trie.LevelList, error) {
 func (q *quotient) sweep(lvl *trie.LevelList) {
 	off, child, parent := q.rows.Off, q.rows.Child, q.parent
 	prevLabel, label := q.prev.label, q.cur.label
-	parallelDo(q.cur.k, sweepChunk(q.cur.k), func(lo, hi int) {
+	par.For(q.cur.k, q.cur.k, 0, func(_, lo, hi int) {
 		var xbuf [16]int32
 		x := xbuf[:0]
 		for c := lo; c < hi; c++ {

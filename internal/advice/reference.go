@@ -22,10 +22,10 @@ import (
 func (o *Oracle) ComputeAdviceReference(g *graph.Graph) (*Advice, error) {
 	phi, reps, feasible := part.ElectionTrace(g)
 	if !feasible {
-		return nil, errors.New("advice: graph is infeasible (symmetric views)")
+		return nil, errSymmetric
 	}
 	if g.N() < 3 {
-		return nil, fmt.Errorf("advice: leader election on %d node(s) is degenerate; model requires n >= 3", g.N())
+		return nil, errDegenerate(g.N())
 	}
 	levels := view.Levels(o.Tab, g, phi)
 	lb := o.Labeler

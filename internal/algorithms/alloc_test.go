@@ -91,7 +91,7 @@ func TestElectLabelSweepAllocs(t *testing.T) {
 		}
 		return testing.AllocsPerRun(5, func() { run() })
 	}
-	small, large := graph.GridStream(20, 21), graph.GridStream(40, 41)
+	small, large := graph.Grid(20, 21), graph.Grid(40, 41)
 	as, al := allocs(small), allocs(large)
 	t.Logf("%v allocations on %d nodes, %v on %d", as, small.N(), al, large.N())
 	if added := large.N() - small.N(); al-as > float64(added) {

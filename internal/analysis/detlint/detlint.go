@@ -1,7 +1,9 @@
 // Package detlint enforces run-to-run determinism in the packages
 // whose outputs are pinned bit-identical across engines: no wall-clock
-// reads, no global math/rand, and no map iteration that writes into
-// slice-shaped results without a subsequent sort.
+// reads, no global math/rand, no map iteration that writes into
+// slice-shaped results without a subsequent sort, and no go statement
+// outside par.For, the one fan-out whose schedule independence is
+// argued once (internal/par).
 //
 // Election correctness under Yamashita–Kameda view equivalence demands
 // exact canonical numbering; one nondeterministic map iteration or
@@ -19,8 +21,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
-	Doc: "forbid time.Now, global math/rand and unsorted map-iteration writes " +
-		"in the determinism-critical packages (part, view, trie, advice, canon, classviews, sim)",
+	Doc: "forbid time.Now, global math/rand, unsorted map-iteration writes and go statements " +
+		"in the determinism-critical packages (part, view, trie, advice, canon, classviews, sim, par)",
 	Run: run,
 }
 
@@ -35,6 +37,7 @@ var critical = map[string]bool{
 	"repro/internal/canon":      true,
 	"repro/internal/classviews": true,
 	"repro/internal/sim":        true,
+	"repro/internal/par":        true,
 }
 
 // randConstructors build explicitly seeded generators and are the
@@ -53,6 +56,10 @@ func run(pass *analysis.Pass) error {
 			checkCall(pass, n)
 		case *ast.RangeStmt:
 			checkMapRange(pass, n, stack)
+		case *ast.GoStmt:
+			pass.Reportf(n.Go,
+				"go statement in a determinism-critical package; fan out through par.For, "+
+					"whose schedule cannot reach the outputs")
 		}
 	})
 	return nil

@@ -16,3 +16,7 @@ func keysFine(m map[int]string) []int {
 	}
 	return keys
 }
+
+func spawnFine(done chan struct{}) {
+	go func() { close(done) }()
+}

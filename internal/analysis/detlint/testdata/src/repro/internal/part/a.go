@@ -90,3 +90,14 @@ func allowedCollect(m map[int]string) []int {
 	}
 	return keys
 }
+
+// spawnBad fans out with a goroutine of its own instead of par.For.
+func spawnBad(done chan struct{}) {
+	go func() { close(done) }() // want `go statement in a determinism-critical package`
+}
+
+// spawnAllowed demonstrates an audited exemption.
+func spawnAllowed(done chan struct{}) {
+	//lint:allow detlint the goroutine only signals; nothing it does reaches an output
+	go func() { close(done) }()
+}

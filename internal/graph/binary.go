@@ -91,7 +91,10 @@ func UnmarshalBinary(data []byte) (*Graph, error) {
 	if max := n * (n - 1) / 2; m > max {
 		return nil, fmt.Errorf("graph: binary edge count %d exceeds simple-graph bound %d", m, max)
 	}
+	// Size the edge list once. Every edge takes at least four bytes, so a
+	// header cannot reserve more than the body could hold.
 	b := NewBuilder(n)
+	b.edges = make([]builderEdge, 0, min(m, len(data)/4))
 	for i := 0; i < m; i++ {
 		var e [4]int
 		for j, what := range [4]string{"edge endpoint", "edge port", "edge endpoint", "edge port"} {

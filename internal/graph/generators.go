@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Ring returns the cycle on n >= 3 nodes with ports 0, 1 in clockwise
 // order at each node (port 0 leads clockwise). Rings are symmetric, hence
@@ -91,74 +88,6 @@ func CompleteBipartite(a, b int) *Graph {
 	return bb.MustFinalize()
 }
 
-// Grid returns the w x h grid graph. Node (x, y) is x + w*y. Ports are
-// assigned in the fixed direction order left, right, up, down restricted
-// to directions that exist, so corner and edge nodes are distinguishable.
-func Grid(w, h int) *Graph {
-	if w < 1 || h < 1 || w*h < 2 {
-		panic("graph.Grid: need at least 2 nodes")
-	}
-	id := func(x, y int) int { return x + w*y }
-	port := make(map[[2]int]int)
-	nextPort := func(v int) int {
-		p := port[[2]int{v, 0}]
-		port[[2]int{v, 0}] = p + 1
-		return p
-	}
-	b := NewBuilder(w * h)
-	// Assign ports per node in direction order by iterating nodes and
-	// their existing directions deterministically.
-	type dir struct{ dx, dy int }
-	dirs := []dir{{-1, 0}, {1, 0}, {0, -1}, {0, 1}}
-	portOf := make(map[[2]int]int) // (node, packed neighbor) -> port
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := id(x, y)
-			for _, d := range dirs {
-				nx, ny := x+d.dx, y+d.dy
-				if nx < 0 || nx >= w || ny < 0 || ny >= h {
-					continue
-				}
-				portOf[[2]int{v, id(nx, ny)}] = nextPort(v)
-			}
-		}
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := id(x, y)
-			if x+1 < w {
-				u := id(x+1, y)
-				b.AddEdge(v, portOf[[2]int{v, u}], u, portOf[[2]int{u, v}])
-			}
-			if y+1 < h {
-				u := id(x, y+1)
-				b.AddEdge(v, portOf[[2]int{v, u}], u, portOf[[2]int{u, v}])
-			}
-		}
-	}
-	return b.MustFinalize()
-}
-
-// Hypercube returns the d-dimensional hypercube with port i corresponding
-// to dimension i at every node. It is vertex-transitive with symmetric
-// port labeling, hence infeasible: a canonical negative test case.
-func Hypercube(d int) *Graph {
-	if d < 1 {
-		panic("graph.Hypercube: need d >= 1")
-	}
-	n := 1 << uint(d)
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			u := v ^ (1 << uint(i))
-			if v < u {
-				b.AddEdge(v, i, u, i)
-			}
-		}
-	}
-	return b.MustFinalize()
-}
-
 // Lollipop returns a clique of size k >= 3 with a path of t >= 1 extra
 // nodes attached to clique node 0. It is feasible (a unique degree
 // profile) and has a conveniently tunable diameter.
@@ -176,100 +105,6 @@ func Lollipop(k, t int) *Graph {
 	b.AddEdge(0, k-1, k, 0)
 	for i := 0; i+1 < t; i++ {
 		b.AddEdge(k+i, 1, k+i+1, 0)
-	}
-	return b.MustFinalize()
-}
-
-// RandomConnected returns a random connected graph on n >= 2 nodes with
-// approximately extra additional edges beyond a random spanning tree, with
-// uniformly random port assignments, generated deterministically from
-// seed. Such graphs are feasible with overwhelming probability; callers
-// that need feasibility should check it via the view package.
-func RandomConnected(n, extra int, seed int64) *Graph {
-	if n < 2 {
-		panic("graph.RandomConnected: need n >= 2")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	type edge struct{ u, v int }
-	edgeSet := make(map[edge]bool)
-	addEdge := func(u, v int) {
-		if u > v {
-			u, v = v, u
-		}
-		edgeSet[edge{u, v}] = true
-	}
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		addEdge(perm[i], perm[rng.Intn(i)])
-	}
-	for e := 0; e < extra; e++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			addEdge(u, v)
-		}
-	}
-	deg := make([]int, n)
-	incident := make([][]edge, n)
-	for e := range edgeSet {
-		deg[e.u]++
-		deg[e.v]++
-		incident[e.u] = append(incident[e.u], e)
-		incident[e.v] = append(incident[e.v], e)
-	}
-	// Random port permutation per node. Iterate edges in a canonical
-	// order so the build is reproducible for a fixed seed.
-	ports := make([]map[edge]int, n)
-	for v := 0; v < n; v++ {
-		es := incident[v]
-		// canonical sort before shuffling to decouple from map order
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && less(es[j], es[j-1]); j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
-		p := rng.Perm(len(es))
-		ports[v] = make(map[edge]int, len(es))
-		for i, e := range es {
-			ports[v][e] = p[i]
-		}
-	}
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for _, e := range incident[v] {
-			if e.u == v { // add each edge once, from its lower endpoint
-				b.AddEdge(e.u, ports[e.u][e], e.v, ports[e.v][e])
-			}
-		}
-	}
-	return b.MustFinalize()
-}
-
-func less(a, b struct{ u, v int }) bool {
-	if a.u != b.u {
-		return a.u < b.u
-	}
-	return a.v < b.v
-}
-
-// ShufflePorts returns a copy of g whose port numbers have been permuted
-// uniformly at random at every node (deterministically from seed). The
-// underlying topology is unchanged; views and the election index generally
-// change.
-func ShufflePorts(g *Graph, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	n := g.N()
-	perms := make([][]int, n)
-	for v := 0; v < n; v++ {
-		perms[v] = rng.Perm(g.Deg(v))
-	}
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for p := 0; p < g.Deg(v); p++ {
-			h := g.At(v, p)
-			if v < h.To {
-				b.AddEdge(v, perms[v][p], h.To, perms[h.To][h.RemotePort])
-			}
-		}
 	}
 	return b.MustFinalize()
 }

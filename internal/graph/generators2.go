@@ -2,28 +2,6 @@ package graph
 
 import "fmt"
 
-// Torus returns the w x h toroidal grid (w, h >= 3) with port order
-// left, right, up, down at every node. It is vertex-transitive with a
-// symmetric port pattern, hence infeasible — a second negative test case
-// beyond Hypercube.
-func Torus(w, h int) *Graph {
-	if w < 3 || h < 3 {
-		panic("graph.Torus: need w, h >= 3")
-	}
-	id := func(x, y int) int { return (x%w+w)%w + w*((y%h+h)%h) }
-	b := NewBuilder(w * h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := id(x, y)
-			// right edge: port 1 here, port 0 (left) at the neighbor
-			b.AddEdge(v, 1, id(x+1, y), 0)
-			// down edge: port 3 here, port 2 (up) at the neighbor
-			b.AddEdge(v, 3, id(x, y+1), 2)
-		}
-	}
-	return b.MustFinalize()
-}
-
 // BinaryTree returns the complete binary tree of the given height
 // (height >= 1), with 2^(height+1)-1 nodes. At an internal node, port 0
 // leads to the left child and port 1 to the right child; non-root

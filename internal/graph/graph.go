@@ -29,7 +29,8 @@ type Half struct {
 // its far end and rport[i] the port number there. Every layer that
 // walks the graph by index (refinement, delay models, shard workers)
 // reads these arrays through CSR instead of copying them. Construct
-// graphs with a Builder or a *Stream constructor.
+// graphs with a Builder, or with a generator such as Grid or
+// RandomConnected that writes the CSR directly.
 type Graph struct {
 	off   []int32 // n+1 row offsets
 	to    []int32 // 2m neighbor ids
@@ -236,14 +237,15 @@ func (g *Graph) BFSDist(src int) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	// Each node enters the queue once, so one allocation of n holds it.
+	queue := make([]int32, 1, g.N())
+	queue[0] = int32(src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, w := range g.to[g.off[u]:g.off[u+1]] {
 			if dist[w] < 0 {
 				dist[w] = dist[u] + 1
-				queue = append(queue, int(w))
+				queue = append(queue, w)
 			}
 		}
 	}

@@ -1,29 +1,28 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 )
 
-// Streaming constructors: the Builder takes arbitrary edge lists and
-// so validates every one (two passes over the edges, a per-node stamp
-// for parallel edges, a BFS for connectivity) and its generators are
-// written for clarity, some with maps of their own. The *Stream
-// constructors below write the CSR of newSlabGraph directly, with
+// Direct constructors: the Builder takes arbitrary edge lists and so
+// validates every one (two passes over the edges, a per-node stamp for
+// parallel edges, a BFS for connectivity). The families below are
+// written straight into the CSR of newSlabGraph instead, with
 // sort+dedup over packed uint64 edges where a construction needs it:
 // correctness comes from the construction (ports are permutations by
-// construction, the spanning tree gives connectivity), and the
-// Builder-based forms remain the reference the equivalence tests pin
-// against — each Stream constructor is bit-identical to its Builder
-// counterpart, including the rand stream it consumes.
+// construction, the spanning tree gives connectivity), so there is
+// nothing left to validate. The Builder-based forms they replaced live
+// in stream_test.go as the reference TestStreamMatchesBuilder pins them
+// to, bit for bit, including the rand stream they consume.
 
-// TorusStream is Torus without the Builder: the w x h toroidal grid
-// (w, h >= 3) with port order left, right, up, down at every node,
-// bit-identical to Torus(w, h), built in O(n) with no maps.
-func TorusStream(w, h int) *Graph {
+// Torus returns the w x h toroidal grid (w, h >= 3) with port order
+// left, right, up, down at every node. It is vertex-transitive with a
+// symmetric port pattern, hence infeasible — a second negative test
+// case beyond Hypercube.
+func Torus(w, h int) *Graph {
 	if w < 3 || h < 3 {
-		panic("graph.TorusStream: need w, h >= 3")
+		panic("graph.Torus: need w, h >= 3")
 	}
 	n := w * h
 	deg := make([]int32, n)
@@ -60,12 +59,12 @@ func gridPort(x, y, w, h, dir int) int {
 	return p
 }
 
-// GridStream is Grid without the Builder: the w x h grid with ports in
-// direction order left, right, up, down restricted to directions that
-// exist, bit-identical to Grid(w, h), built in O(n) with no maps.
-func GridStream(w, h int) *Graph {
+// Grid returns the w x h grid graph. Node (x, y) is x + w*y. Ports are
+// assigned in the fixed direction order left, right, up, down restricted
+// to directions that exist, so corner and edge nodes are distinguishable.
+func Grid(w, h int) *Graph {
 	if w < 1 || h < 1 || w*h < 2 {
-		panic("graph.GridStream: need at least 2 nodes")
+		panic("graph.Grid: need at least 2 nodes")
 	}
 	n := w * h
 	deg := make([]int32, n)
@@ -110,12 +109,17 @@ func GridStream(w, h int) *Graph {
 	return g
 }
 
-// HypercubeStream is Hypercube without the Builder: the d-dimensional
-// hypercube with port i along dimension i, bit-identical to
-// Hypercube(d), built in O(n·d) with no maps.
-func HypercubeStream(d int) *Graph {
+// GridStream is Grid.
+//
+// Deprecated: use Grid, which writes the CSR directly.
+func GridStream(w, h int) *Graph { return Grid(w, h) }
+
+// Hypercube returns the d-dimensional hypercube with port i corresponding
+// to dimension i at every node. It is vertex-transitive with symmetric
+// port labeling, hence infeasible: a canonical negative test case.
+func Hypercube(d int) *Graph {
 	if d < 1 {
-		panic("graph.HypercubeStream: need d >= 1")
+		panic("graph.Hypercube: need d >= 1")
 	}
 	n := 1 << uint(d)
 	deg := make([]int32, n)
@@ -141,16 +145,17 @@ func permInto(rng *rand.Rand, p []int32, n int) {
 	}
 }
 
-// ShufflePortsStream is ShufflePorts without the Builder: a copy of g
-// with the ports permuted uniformly at random at every node,
-// bit-identical to ShufflePorts(g, seed), built in O(n+m) with no maps.
-func ShufflePortsStream(g *Graph, seed int64) *Graph {
+// ShufflePorts returns a copy of g whose port numbers have been permuted
+// uniformly at random at every node (deterministically from seed). The
+// underlying topology is unchanged; views and the election index
+// generally change.
+func ShufflePorts(g *Graph, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := g.N()
 	deg := make([]int32, n)
 	// One flat permutation slab over g's half-edge indices, consumed in
-	// node order — the same rng stream rand.Perm would draw in
-	// ShufflePorts: perm[off[v]+p] is the new number of v's port p.
+	// node order as rand.Perm per node would draw it: perm[off[v]+p] is
+	// the new number of v's port p.
 	perm := make([]int32, len(g.to))
 	for v := 0; v < n; v++ {
 		deg[v] = int32(g.Deg(v))
@@ -166,24 +171,25 @@ func ShufflePortsStream(g *Graph, seed int64) *Graph {
 	return out
 }
 
-// RandomConnectedStream is RandomConnected without the Builder and
-// without the per-node port maps: the same seeded construction — random
-// spanning tree over a node permutation, extra uniform edges, uniform
-// port permutation per node — consuming the same rng stream, so for any
-// (n, extra, seed) it returns a graph bit-identical to
-// RandomConnected(n, extra, seed). Edge bookkeeping is a packed-uint64
-// sort+compact and the adjacency is written straight into the CSR, so
-// construction is O(m log m) time and O(m) memory with no map overhead
-// — the path that makes n=10M graphs constructible before refinement
-// even starts.
-func RandomConnectedStream(n, extra int, seed int64) *Graph {
+// RandomConnected returns a random connected graph on n >= 2 nodes with
+// approximately extra additional edges beyond a random spanning tree,
+// with uniformly random port assignments, generated deterministically
+// from seed: a spanning tree over a node permutation, extra uniform
+// edges, a uniform port permutation per node. Such graphs are feasible
+// with overwhelming probability; callers that need feasibility check it
+// with the election index (part.ElectionIndex). Edge bookkeeping is a
+// packed-uint64 sort+compact and the adjacency is written straight into
+// the CSR, so construction is O(m log m) time and O(m) memory — the
+// path that makes n=10M graphs constructible before refinement even
+// starts.
+func RandomConnected(n, extra int, seed int64) *Graph {
 	if n < 2 {
-		panic("graph.RandomConnectedStream: need n >= 2")
+		panic("graph.RandomConnected: need n >= 2")
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// Same draws as RandomConnected: a spanning tree over rng.Perm(n),
-	// then extra (u, v) pairs with self-loops skipped.
+	// The draws: a spanning tree over rng.Perm(n), then extra (u, v)
+	// pairs with self-loops skipped.
 	edges := make([]uint64, 0, n-1+extra)
 	pack := func(u, v int) uint64 {
 		if u > v {
@@ -213,9 +219,8 @@ func RandomConnectedStream(n, extra int, seed int64) *Graph {
 	g := newSlabGraph(deg, m)
 	off := g.off
 
-	// Incidence in ascending (u, v) edge order per node — the canonical
-	// order RandomConnected sorts each node's edge list into — so the
-	// i-th port draw of a node lands on the same edge in both builds.
+	// Incidence in ascending (u, v) edge order per node: the i-th port
+	// draw of a node lands on its i-th edge in that order.
 	inc := make([]int32, 2*m)
 	slot := make([]int32, n)
 	copy(slot, off[:n])
@@ -227,8 +232,8 @@ func RandomConnectedStream(n, extra int, seed int64) *Graph {
 		slot[v]++
 	}
 
-	// Port permutation per node in node order (the rng order
-	// RandomConnected uses), recorded per edge endpoint.
+	// Port permutation per node, drawn in node order and recorded per
+	// edge endpoint.
 	portLo := make([]int32, m) // port at the smaller endpoint
 	portHi := make([]int32, m) // port at the larger endpoint
 	pbuf := make([]int32, slices.Max(deg))
@@ -252,23 +257,7 @@ func RandomConnectedStream(n, extra int, seed int64) *Graph {
 	return g
 }
 
-// mustStreamEqual panics unless a and b are byte-for-byte the same
-// port-labeled graph — the strong form of equality the Stream
-// constructors promise against their Builder counterparts. Exported to
-// tests via graph_test helpers; kept here so the invariant is stated
-// next to the code that must uphold it.
-func mustStreamEqual(a, b *Graph) {
-	if a.N() != b.N() || a.M() != b.M() {
-		panic(fmt.Sprintf("graph: stream mismatch: n %d vs %d, m %d vs %d", a.N(), b.N(), a.M(), b.M()))
-	}
-	for v := 0; v < a.N(); v++ {
-		if a.Deg(v) != b.Deg(v) {
-			panic(fmt.Sprintf("graph: stream mismatch: deg(%d) %d vs %d", v, a.Deg(v), b.Deg(v)))
-		}
-		for p := 0; p < a.Deg(v); p++ {
-			if a.At(v, p) != b.At(v, p) {
-				panic(fmt.Sprintf("graph: stream mismatch at node %d port %d: %v vs %v", v, p, a.At(v, p), b.At(v, p)))
-			}
-		}
-	}
-}
+// RandomConnectedStream is RandomConnected.
+//
+// Deprecated: use RandomConnected, which writes the CSR directly.
+func RandomConnectedStream(n, extra int, seed int64) *Graph { return RandomConnected(n, extra, seed) }

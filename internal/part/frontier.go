@@ -58,12 +58,11 @@
 package part
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Engine is the partition-refinement surface shared by Refiner,
@@ -94,7 +93,7 @@ var (
 // one goroutine; Step internally fans out to the configured workers.
 type FrontierRefiner struct {
 	n       int
-	workers int
+	workers int // par.Workers of the constructor's count: len(ws)
 
 	// g's CSR, read only, as in Refiner.
 	off    []int32
@@ -139,7 +138,6 @@ type FrontierRefiner struct {
 	canonRep   []int32 // canonical id -> persistent id
 
 	ws []*frontierWorker
-	wg sync.WaitGroup
 }
 
 // frontierWorker is the per-worker split scratch: a stamped
@@ -168,12 +166,14 @@ type frontierWorker struct {
 // selects GOMAXPROCS; whatever the worker count, every accessor is
 // bit-identical to NewRefiner(g) stepped to the same depth.
 func NewFrontierRefiner(g *graph.Graph, workers int) *FrontierRefiner {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	n := g.N()
 	r := &FrontierRefiner{n: n, workers: workers, maxDeg: g.MaxDegree()}
 	r.off, r.nbr, r.rp = g.CSR()
+	r.ws = make([]*frontierWorker, workers)
+	for w := range r.ws {
+		r.ws[w] = &frontierWorker{}
+	}
 
 	r.class = make([]int32, n)
 	r.order = make([]int32, n)
@@ -339,18 +339,30 @@ func (r *FrontierRefiner) Step() {
 		clear(r.touched)
 		return
 	}
-	r.split()
-	r.apply()
+	work := r.weight(r.dirty)
+	r.split(work)
+	r.apply(work)
 	// Reset the touched bitmap for the next depth's marking. A plain
 	// sequential memclr: per-run clearing inside splitRun would be a
 	// data race (runs from different classes share bitmap words).
 	clear(r.touched)
 }
 
+// weight is the edge work of the classes ids: every member counts one
+// plus its degree, which all members of a class share.
+func (r *FrontierRefiner) weight(ids []int32) int {
+	w := 0
+	for _, c := range ids {
+		v0 := r.order[r.runStart[c]]
+		w += int(r.runEnd[c]-r.runStart[c]) * (1 + int(r.off[v0+1]-r.off[v0]))
+	}
+	return w
+}
+
 // touch builds the dirty-class set: every non-singleton class holding a
 // neighbor of a member of a frontier class. Workers claim classes with
-// atomic fetch-or bits; the merged discoveries are sorted by run start
-// so everything downstream is deterministic.
+// atomic fetch-or bits into per-worker lists; the merged discoveries
+// are sorted by run start so everything downstream is deterministic.
 func (r *FrontierRefiner) touch() {
 	// Dense escape hatch. On small-diameter graphs (and the first depths
 	// of every refinement) the frontier covers most of the graph, and the
@@ -359,12 +371,7 @@ func (r *FrontierRefiner) touch() {
 	// graph's, mark every node touched and collect the dirty set — every
 	// non-singleton class — with one ordered walk over the runs, which
 	// arrives already sorted by run start.
-	fw := 0
-	for _, p := range r.frontier {
-		size := int(r.runEnd[p] - r.runStart[p])
-		v0 := r.order[r.runStart[p]]
-		fw += size * (1 + int(r.off[v0+1]-r.off[v0]))
-	}
+	fw := r.weight(r.frontier)
 	if 2*fw >= r.n+len(r.nbr) {
 		for i := range r.touched {
 			r.touched[i] = ^uint64(0)
@@ -384,11 +391,13 @@ func (r *FrontierRefiner) touch() {
 	words := (int(r.nextID) + 63) / 64
 	r.claimed = growUint64(r.claimed, words)
 
-	chunks := r.frontierChunks()
-	r.ensureWorkers(len(chunks))
-	r.runChunks(chunks, func(w, lo, hi int) {
-		wk := r.ws[w]
+	// A worker may take several ranges, so its list is cleared here,
+	// not per range.
+	for _, wk := range r.ws {
 		wk.dirty = wk.dirty[:0]
+	}
+	par.For(len(r.frontier), fw, r.workers, func(w, lo, hi int) {
+		wk := r.ws[w]
 		for _, p := range r.frontier[lo:hi] {
 			for i := r.runStart[p]; i < r.runEnd[p]; i++ {
 				u := r.order[i]
@@ -433,8 +442,8 @@ func (r *FrontierRefiner) touch() {
 	})
 
 	r.dirty = r.dirty[:0]
-	for w := range r.ws[:len(chunks)] {
-		r.dirty = append(r.dirty, r.ws[w].dirty...)
+	for _, wk := range r.ws {
+		r.dirty = append(r.dirty, wk.dirty...)
 	}
 	for _, c := range r.dirty {
 		r.claimed[c>>6] = 0
@@ -447,12 +456,11 @@ func (r *FrontierRefiner) touch() {
 // split refines every dirty class's run in place by the same per-port
 // counting passes as Refiner.Step, recording the subgroup count per
 // class. Runs are disjoint ranges of order/grp/grp2/buf/bufG, so
-// workers share those arrays without synchronization.
-func (r *FrontierRefiner) split() {
+// workers share those arrays without synchronization. work is the
+// dirty classes' weight.
+func (r *FrontierRefiner) split(work int) {
 	r.parts = growInt32(r.parts, len(r.dirty))
-	chunks := r.dirtyChunks()
-	r.ensureWorkers(len(chunks))
-	r.runChunks(chunks, func(w, lo, hi int) {
+	par.For(len(r.dirty), work, r.workers, func(w, lo, hi int) {
 		wk := r.ws[w]
 		for di := lo; di < hi; di++ {
 			c := r.dirty[di]
@@ -467,7 +475,7 @@ func (r *FrontierRefiner) split() {
 // pass carves the runs, relabels the moved members and writes the
 // frontier entries — all into precomputed disjoint offsets, so the
 // result is identical for every worker count.
-func (r *FrontierRefiner) apply() {
+func (r *FrontierRefiner) apply(work int) {
 	nd := len(r.dirty)
 	r.idBase = growInt32(r.idBase, nd)
 	r.frontOff = growInt32(r.frontOff, nd)
@@ -488,8 +496,7 @@ func (r *FrontierRefiner) apply() {
 	r.runEnd = growInt32(r.runEnd, int(r.nextID+newIDs))
 	r.frontier2 = growInt32(r.frontier2, int(frontLen))
 
-	chunks := r.dirtyChunks()
-	r.runChunks(chunks, func(w, lo, hi int) {
+	par.For(nd, work, r.workers, func(_, lo, hi int) {
 		for di := lo; di < hi; di++ {
 			if r.parts[di] < 2 {
 				continue
@@ -750,91 +757,6 @@ func (wk *frontierWorker) ensure(run, maxDeg int) {
 	if len(wk.cnt) < run+1 {
 		wk.cnt = make([]int32, run+1)
 	}
-}
-
-// frontierChunks partitions the frontier list into up to workers
-// contiguous chunks of roughly equal edge work.
-func (r *FrontierRefiner) frontierChunks() [][2]int {
-	return chunkByWeight(len(r.frontier), r.workers, func(i int) int {
-		p := r.frontier[i]
-		size := int(r.runEnd[p] - r.runStart[p])
-		v0 := r.order[r.runStart[p]]
-		return size * (1 + int(r.off[v0+1]-r.off[v0]))
-	})
-}
-
-// dirtyChunks partitions the dirty list into up to workers contiguous
-// chunks of roughly equal member work.
-func (r *FrontierRefiner) dirtyChunks() [][2]int {
-	return chunkByWeight(len(r.dirty), r.workers, func(i int) int {
-		c := r.dirty[i]
-		size := int(r.runEnd[c] - r.runStart[c])
-		v0 := r.order[r.runStart[c]]
-		return size * (1 + int(r.off[v0+1]-r.off[v0]))
-	})
-}
-
-// parallelBelow is the per-Step work under which the fan-out is skipped
-// and chunks run inline: goroutine dispatch costs more than the split.
-const parallelBelow = 4096
-
-// chunkByWeight splits the items [0, n) into at most w contiguous
-// chunks of roughly equal total weight. It returns a single chunk when
-// w == 1 or the total weight is too small to amortize a fan-out.
-func chunkByWeight(n, w int, weight func(i int) int) [][2]int {
-	if n == 0 {
-		return nil
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += weight(i)
-	}
-	if w <= 1 || total < parallelBelow {
-		return [][2]int{{0, n}}
-	}
-	if w > n {
-		w = n
-	}
-	chunks := make([][2]int, 0, w)
-	target := (total + w - 1) / w
-	lo, acc := 0, 0
-	for i := 0; i < n; i++ {
-		acc += weight(i)
-		if acc >= target && i+1 < n {
-			chunks = append(chunks, [2]int{lo, i + 1})
-			lo, acc = i+1, 0
-			if len(chunks) == w-1 {
-				break
-			}
-		}
-	}
-	chunks = append(chunks, [2]int{lo, n})
-	return chunks
-}
-
-// ensureWorkers makes at least nw per-worker scratch slots.
-func (r *FrontierRefiner) ensureWorkers(nw int) {
-	for len(r.ws) < nw {
-		r.ws = append(r.ws, &frontierWorker{})
-	}
-}
-
-// runChunks runs fn over the chunks, one goroutine per chunk beyond the
-// first; a single chunk runs inline on the calling goroutine.
-func (r *FrontierRefiner) runChunks(chunks [][2]int, fn func(w, lo, hi int)) {
-	if len(chunks) == 0 {
-		return
-	}
-	r.ensureWorkers(len(chunks))
-	for w := 1; w < len(chunks); w++ {
-		r.wg.Add(1)
-		go func(w int) {
-			defer r.wg.Done()
-			fn(w, chunks[w][0], chunks[w][1])
-		}(w)
-	}
-	fn(0, chunks[0][0], chunks[0][1])
-	r.wg.Wait()
 }
 
 func growInt32(s []int32, n int) []int32 {

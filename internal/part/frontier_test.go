@@ -121,16 +121,16 @@ func TestFrontierEmptyIffStable(t *testing.T) {
 }
 
 // TestFrontierStreamedLargeRandom is the differential check at a size
-// where the parallel path actually engages (chunking kicks in above the
-// sequential cutoff) rather than degenerating to one chunk, on a
-// stream-constructed graph — the construction the large-n benchmarks
-// use.
+// where the parallel path actually engages (the steps' work passes
+// par.For's inline cutoff) rather than running on the caller, on a
+// directly built RandomConnected graph — the construction the large-n
+// benchmarks use.
 func TestFrontierStreamedLargeRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential sweep")
 	}
 	for _, seed := range []int64{1, 2} {
-		g := graph.RandomConnectedStream(9000, 4500, seed)
+		g := graph.RandomConnected(9000, 4500, seed)
 		ref := part.NewRefiner(g)
 		fr := part.NewFrontierRefiner(g, 8)
 		for {

@@ -411,6 +411,21 @@ func TestInfeasibleDoesNotTripBreaker(t *testing.T) {
 	}
 }
 
+// TestDegenerateGraphIs422 checks that a graph below the model's three
+// nodes is refused like an infeasible one: 422, with the breaker closed.
+func TestDegenerateGraphIs422(t *testing.T) {
+	s, ts := newTestServer(t, Config{BreakerThreshold: 2})
+	for i := 0; i < 4; i++ {
+		resp, body := postJSON(t, ts.URL, jsonBody(t, graph.Path(2), false))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("request %d: status %d, want 422 (%s)", i, resp.StatusCode, body)
+		}
+	}
+	if st := s.breaker.current(); st != breakerClosed {
+		t.Fatalf("breaker %s after degenerate inputs, want closed", st)
+	}
+}
+
 func TestDegradedOnFailedCacheWrite(t *testing.T) {
 	ffs := store.NewFaultFS(nil)
 	st, _, err := store.Open(t.TempDir(), ffs)

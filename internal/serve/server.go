@@ -34,12 +34,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	election "repro"
+	"repro/internal/advice"
 	"repro/internal/bits"
 	"repro/internal/canon"
 	"repro/internal/graph"
@@ -465,7 +465,7 @@ func (s *Server) classifyCtxErr(err error) *httpError {
 func (s *Server) classifyOracleErr(err error) *httpError {
 	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "infeasible") || strings.Contains(msg, "degenerate"):
+	case errors.Is(err, advice.ErrInfeasible):
 		s.n.infeasible.Add(1)
 		return &httpError{status: http.StatusUnprocessableEntity, code: "infeasible", msg: msg}
 	case s.baseCtx.Err() != nil:
@@ -485,14 +485,7 @@ func (s *Server) classifyOracleErr(err error) *httpError {
 // server shutdown is nobody's, but timeouts and internal errors
 // suggest the next computation is also doomed.
 func isOracleHealthFailure(err error, baseCtx context.Context) bool {
-	msg := err.Error()
-	if strings.Contains(msg, "infeasible") || strings.Contains(msg, "degenerate") {
-		return false
-	}
-	if baseCtx.Err() != nil {
-		return false
-	}
-	return true
+	return !errors.Is(err, advice.ErrInfeasible) && baseCtx.Err() == nil
 }
 
 func (s *Server) runTranscript(ctx context.Context, g *graph.Graph, adv bits.String) (*Transcript, *httpError) {

@@ -39,7 +39,7 @@ func TestVerifyAllocsIndependentOfN(t *testing.T) {
 		}
 		return testing.AllocsPerRun(5, func() { _, _ = Verify(g, outs) })
 	}
-	small, large := allocs(graph.GridStream(32, 32)), allocs(graph.GridStream(64, 128))
+	small, large := allocs(graph.Grid(32, 32)), allocs(graph.Grid(64, 128))
 	if small != large {
 		t.Fatalf("Verify allocates %v times on a 1k-node grid and %v on an 8k-node grid", small, large)
 	}

@@ -3,8 +3,8 @@
 // RunSequential and RunConcurrent realize a round by building one view
 // per node (and, concurrently, one goroutine per node and one channel
 // per directed edge). RunBSP runs the same rounds in one of two ways,
-// both batched over a pool of persistent workers that own node ranges,
-// with a barrier per round:
+// both one par.For sweep over the nodes per round, which is the round's
+// barrier:
 //
 //   - Label programs (labels.go): when every node's decider is a
 //     LabelProgram, nodes exchange one int32 label per round over two
@@ -27,17 +27,16 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/classviews"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/view"
 )
 
 // RunBSP executes the synchronous protocol on labels or class-shared
-// views with a worker-pool sweep. workers <= 0 selects GOMAXPROCS. It
+// views with a parallel sweep. workers <= 0 selects GOMAXPROCS. It
 // must behave exactly like RunSequential on every input; deciders may
 // be invoked from multiple goroutines (for different nodes), the same
 // discipline RunConcurrent already imposes.
@@ -77,8 +76,7 @@ func runBSP(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, max
 	res.ClassViews += cv.NumClasses()
 
 	vs := &viewSweep{deciders: deciders, res: res}
-	sweep := newSweeper(n, workers, vs.sweep)
-	defer sweep.close()
+	sweep := vs.sweep // bound once per run: a method value made per round escapes into For
 
 	remaining := n
 	for r := 0; ; r++ {
@@ -86,7 +84,8 @@ func runBSP(ctx context.Context, tab *view.Table, g *graph.Graph, f Factory, max
 			return nil, canceled(r, remaining, err)
 		}
 		vs.round, vs.class, vs.views = r, cv.Class(), cv.Views()
-		remaining -= sweep.run()
+		par.For(n, n, workers, sweep)
+		remaining -= int(vs.decided.Swap(0))
 		if remaining == 0 {
 			break
 		}
@@ -125,14 +124,15 @@ func (res *Result) setTime() {
 // viewSweep is the round-r Decide sweep on class-shared views.
 type viewSweep struct {
 	deciders []Decider
-	res      *Result // Rounds[v] < 0 while v is undecided
+	res      *Result      // Rounds[v] < 0 while v is undecided
+	decided  atomic.Int64 // nodes decided in the round so far
 
 	round int
 	class []int32
 	views []*view.View
 }
 
-func (s *viewSweep) sweep(_, lo, hi int) int {
+func (s *viewSweep) sweep(_, lo, hi int) {
 	decided := 0
 	for v := lo; v < hi; v++ {
 		if s.res.Rounds[v] >= 0 {
@@ -143,93 +143,5 @@ func (s *viewSweep) sweep(_, lo, hi int) int {
 			decided++
 		}
 	}
-	return decided
-}
-
-// sweeper runs one round's per-node work over a pool of persistent
-// workers, each owning contiguous node ranges. Small runs (or workers
-// == 1) stay on the calling goroutine: the pool exists for the rounds
-// where per-node work dominates, not to tax unit-test graphs.
-type sweeper struct {
-	n       int
-	workers int
-	chunk   int
-	// body does the work of nodes [lo, hi) on worker w (0 <= w <
-	// workers, so a body may keep scratch per worker) and returns how
-	// many of them decided.
-	body func(w, lo, hi int) int
-	jobs chan sweepJob
-	wg   sync.WaitGroup
-
-	decided  atomic.Int64
-	panicMu  sync.Mutex
-	panicked any
-}
-
-type sweepJob struct{ lo, hi int }
-
-// sweepInlineBelow is the node count under which the pool is bypassed.
-const sweepInlineBelow = 2048
-
-func newSweeper(n, workers int, body func(w, lo, hi int) int) *sweeper {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s := &sweeper{n: n, workers: workers, body: body}
-	if workers == 1 || n < sweepInlineBelow {
-		s.workers = 1
-		return s
-	}
-	// ~4 chunks per worker so uneven per-node cost (nodes near deciding
-	// do real work, decided nodes are skipped) still balances.
-	s.chunk = (n + 4*workers - 1) / (4 * workers)
-	s.jobs = make(chan sweepJob)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for job := range s.jobs {
-				s.runRange(w, job.lo, job.hi)
-				s.wg.Done()
-			}
-		}()
-	}
-	return s
-}
-
-// run performs one round's sweep and returns how many nodes decided.
-func (s *sweeper) run() int {
-	s.decided.Store(0)
-	if s.workers == 1 {
-		s.runRange(0, 0, s.n)
-	} else {
-		for lo := 0; lo < s.n; lo += s.chunk {
-			s.wg.Add(1)
-			s.jobs <- sweepJob{lo, min(lo+s.chunk, s.n)}
-		}
-		s.wg.Wait()
-	}
-	if s.panicked != nil {
-		// Re-raise on the engine goroutine so a decider panic surfaces
-		// to the caller exactly like RunSequential's would.
-		panic(s.panicked)
-	}
-	return int(s.decided.Load())
-}
-
-func (s *sweeper) runRange(w, lo, hi int) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panicMu.Lock()
-			if s.panicked == nil {
-				s.panicked = p
-			}
-			s.panicMu.Unlock()
-		}
-	}()
-	s.decided.Add(int64(s.body(w, lo, hi)))
-}
-
-func (s *sweeper) close() {
-	if s.jobs != nil {
-		close(s.jobs)
-	}
+	s.decided.Add(int64(decided))
 }

@@ -55,7 +55,7 @@ func TestBSPMatchesSequential(t *testing.T) {
 		{"path6", graph.Path(6)},
 		{"lollipop", graph.Lollipop(5, 4)},
 		{"random", graph.RandomConnected(60, 40, 11)},
-		{"pooled-path", graph.Path(3000)}, // n >= sweepInlineBelow: pool path
+		{"pooled-path", graph.Path(3000)}, // n >= par.For's inline cutoff: fanned out
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func() Factory {
@@ -211,7 +211,7 @@ func TestBSPRunsLabelPrograms(t *testing.T) {
 		{"path6", graph.Path(6)},
 		{"lollipop", graph.Lollipop(5, 4)},
 		{"random", graph.RandomConnected(60, 40, 11)},
-		{"pooled-path", graph.Path(3000)}, // n >= sweepInlineBelow: pool path
+		{"pooled-path", graph.Path(3000)}, // n >= par.For's inline cutoff: fanned out
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tab := view.NewTable()

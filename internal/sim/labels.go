@@ -16,8 +16,10 @@ package sim
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // LabelProgram is a Decider that can also run on labels. A node's
@@ -55,10 +57,9 @@ func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRound
 	for v, d := range deciders {
 		ls.progs[v] = d.(LabelProgram)
 	}
-	sweep := newSweeper(n, workers, ls.sweep)
-	defer sweep.close()
+	sweep := ls.sweep // bound once per run: a method value made per round escapes into For
 	ls.maxDeg = g.MaxDegree()
-	ls.scratch = make([]int32, 2*ls.maxDeg*sweep.workers)
+	ls.scratch = make([]int32, 2*ls.maxDeg*par.Workers(workers))
 
 	remaining := n
 	for r := 0; ; r++ {
@@ -70,7 +71,8 @@ func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRound
 			ls.res.Messages += 2 * g.M()
 		}
 		ls.round = r
-		remaining -= sweep.run()
+		par.For(n, n, workers, sweep)
+		remaining -= int(ls.decided.Swap(0))
 		if remaining == 0 {
 			break
 		}
@@ -84,9 +86,10 @@ func runLabels(ctx context.Context, g *graph.Graph, deciders []Decider, maxRound
 
 // labelSweep is the round-r label step and decide sweep.
 type labelSweep struct {
-	g     *graph.Graph
-	progs []LabelProgram
-	res   *Result // Rounds[v] < 0 while v is undecided
+	g       *graph.Graph
+	progs   []LabelProgram
+	res     *Result      // Rounds[v] < 0 while v is undecided
+	decided atomic.Int64 // nodes decided in the round so far
 
 	round     int
 	prev, cur []int32 // labels of rounds round−1 and round
@@ -94,7 +97,7 @@ type labelSweep struct {
 	scratch   []int32 // 2·maxDeg per worker: the ports, or the neighbors' labels
 }
 
-func (s *labelSweep) sweep(w, lo, hi int) int {
+func (s *labelSweep) sweep(w, lo, hi int) {
 	g, r, prev := s.g, s.round, s.prev
 	buf := s.scratch[2*s.maxDeg*w : 2*s.maxDeg*(w+1)]
 	decided := 0
@@ -127,5 +130,5 @@ func (s *labelSweep) sweep(w, lo, hi int) int {
 			decided++
 		}
 	}
-	return decided
+	s.decided.Add(int64(decided))
 }

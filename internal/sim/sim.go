@@ -15,7 +15,7 @@
 //     deterministic per-node loop and is the reference the others are
 //     pinned against; only tests run it;
 //   - the bulk-synchronous engine (RunBSP, see bsp.go) batches each
-//     round over a worker pool — the engine that carries end-to-end
+//     round into one parallel sweep — the engine that carries end-to-end
 //     elections to 100k-node graphs. It runs label programs
 //     (LabelProgram, labels.go), such as Algorithm Elect, on one int32
 //     label per node per round and interns no view; other programs get
@@ -185,6 +185,7 @@ func RunConcurrent(tab *view.Table, g *graph.Graph, f Factory, maxRounds int, wi
 
 	for v := 0; v < n; v++ {
 		wg.Add(1)
+		//lint:allow detlint the Goroutines realization is one goroutine per node by definition; rounds meet at the barrier
 		go func(v int) {
 			defer wg.Done()
 			d := f(v, g.Deg(v))

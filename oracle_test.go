@@ -71,7 +71,7 @@ func TestOracleEquivalenceRandomSweep(t *testing.T) {
 // within a few seconds under -race.
 func TestOracleEquivalenceDeep(t *testing.T) {
 	relabeled := func(w int, seed int64) *Graph {
-		g := GridStream(w, w+1)
+		g := Grid(w, w+1)
 		return graph.RelabelNodes(g, rand.New(rand.NewSource(seed)).Perm(g.N()))
 	}
 	cases := map[string]func() *Graph{

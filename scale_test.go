@@ -23,11 +23,11 @@ func TestElectionIndexScaleSmoke(t *testing.T) {
 		g    *Graph
 	}{
 		// Small diameter, phi = O(log n): stresses the dense depths.
-		{"random-n1000000", RandomConnectedStream(1_000_000, 500_000, 1)},
+		{"random-n1000000", RandomConnected(1_000_000, 500_000, 1)},
 		// Large diameter, phi = Theta(sqrt(n)): stresses the thin-wave
 		// frontier discipline — a full sweep per depth would blow the
 		// ceiling by an order of magnitude.
-		{"sqgrid-n1000000", GridStream(1000, 1000)},
+		{"sqgrid-n1000000", Grid(1000, 1000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
