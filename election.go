@@ -376,7 +376,7 @@ type Result struct {
 	Leader     int     // sim id of the elected node
 	Time       int     // rounds until the last node decided
 	AdviceBits int     // length of the advice string used
-	Outputs    [][]int // per-node port sequences (p1, q1, ...)
+	Outputs    [][]int // per-node port sequences (p1, q1, ...), read-only: entries may share backing arrays
 	Rounds     []int   // per-node decision rounds
 	Messages   int     // total messages exchanged
 	WireBits   int     // total bits on the wire (Goroutines{Wire: true} only)

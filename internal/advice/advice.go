@@ -49,21 +49,16 @@ type LabeledTreeEdge struct {
 // Advice is the decoded form of the oracle's output. Nodes executing
 // Algorithm Elect reconstruct exactly this structure from the bit string.
 // One decoded Advice is shared read-only by every decider of a run; the
-// parent index over Tree is derived once, lazily, instead of per node
-// per PathToLeader call.
+// table of every label's path to the root is derived from Tree once,
+// lazily, instead of per node per PathToLeader call.
 type Advice struct {
 	Phi  int               // election index of the graph
 	E1   trie.Trie         // discriminates depth-1 views
 	E2   trie.E2           // discriminates deeper views, level by level
 	Tree []LabeledTreeEdge // canonical BFS tree, labels in {1..n}, root label 1
 
-	parentOnce sync.Once
-	// parent[x] is the tree edge from child label x to its parent;
-	// labels are dense in {1..n} so the index is a slice, not a map —
-	// PathToLeader sits inside every decider's final round, and at
-	// 100k nodes with deep trees (torus) the per-hop map probes were
-	// the single hottest block of the whole election's serial phase.
-	parent []LabeledTreeEdge // indexed by child label; ParentLabel == 0 means absent
+	pathsOnce sync.Once
+	paths     *pathTable // built by the first PathToLeader call
 }
 
 // Oracle holds the view table and labeler of the view-based paths:
@@ -208,39 +203,4 @@ func (o *Oracle) ComputeAdviceCtx(ctx context.Context, g *graph.Graph) (*Advice,
 // that the oracle assigned; exposed for tests and tools.
 func (o *Oracle) NodeLabel(a *Advice, b *view.View) int {
 	return o.Labeler.RetrieveLabel(b, a.E1, a.E2)
-}
-
-// PathToLeader returns the port sequence of the unique simple path in the
-// advice tree from the node labeled x to the root (labeled 1). It returns
-// an error if x does not occur in the tree.
-func (a *Advice) PathToLeader(x int) ([]int, error) {
-	if x == 1 {
-		return []int{}, nil
-	}
-	a.parentOnce.Do(func() {
-		parent := make([]LabeledTreeEdge, len(a.Tree)+2)
-		for _, e := range a.Tree {
-			if e.ChildLabel > 0 && e.ChildLabel < len(parent) {
-				parent[e.ChildLabel] = e
-			}
-		}
-		a.parent = parent
-	})
-	parent := a.parent
-	// Count the hops first, so the path is allocated once at its size.
-	hops := 0
-	for cur := x; cur != 1; cur = parent[cur].ParentLabel {
-		if cur < 0 || cur >= len(parent) || parent[cur].ParentLabel == 0 {
-			return nil, fmt.Errorf("advice: label %d not in tree", x)
-		}
-		hops++
-		if hops > len(a.Tree)+1 {
-			return nil, errors.New("advice: cycle in tree encoding")
-		}
-	}
-	ports := make([]int, 0, 2*hops)
-	for cur := x; cur != 1; cur = parent[cur].ParentLabel {
-		ports = append(ports, parent[cur].PortChild, parent[cur].PortParent)
-	}
-	return ports, nil
 }

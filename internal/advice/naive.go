@@ -29,7 +29,7 @@ type NaiveAdvice struct {
 	Tree  []LabeledTreeEdge
 
 	treeOnce sync.Once
-	tree     *Advice // Tree with its parent index, built on first use
+	tree     *Advice // Tree with its path table, built on first use
 }
 
 // ComputeNaiveAdvice builds the naive advice for g. For graphs with
@@ -116,9 +116,10 @@ func (a *NaiveAdvice) RankOf(s bits.String) (int, error) {
 	return 0, errors.New("advice: view not in naive list")
 }
 
-// PathToLeader mirrors (*Advice).PathToLeader for the naive tree. The
-// Advice carrying the tree's parent index is built once and shared by
-// every call, so a naive election stays O(n) in the tree.
+// PathToLeader mirrors (*Advice).PathToLeader for the naive tree, which
+// DecodeNaive does not validate. The Advice carrying the tree's path
+// table is built once and shared by every call; the returned slice is
+// read-only, like (*Advice).PathToLeader's.
 func (a *NaiveAdvice) PathToLeader(x int) ([]int, error) {
 	a.treeOnce.Do(func() { a.tree = &Advice{Tree: a.Tree} })
 	return a.tree.PathToLeader(x)

@@ -60,11 +60,12 @@ func TestFactoryAllocs(t *testing.T) {
 	}
 }
 
-// TestElectLabelSweepAllocs checks that Elect on labels allocates, per
-// node, nothing but its output path: from one grid to a four times
-// larger one, a RunBSP election gains at most one allocation per added
-// node. AllocsPerRun measures on one P, so the sweep runs inline with
-// one pooled depth-1 encoding writer; the collector is off so that the
+// TestElectLabelSweepAllocs checks that Elect on labels allocates
+// nothing per node: every output is a slice of the advice's path
+// table, built by the first election, so from one grid to a four times
+// larger one a RunBSP election's allocation count does not grow.
+// AllocsPerRun measures on one P, so the sweep runs inline with one
+// pooled depth-1 encoding writer; the collector is off so that the
 // pool keeps it from one run to the next.
 func TestElectLabelSweepAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -94,8 +95,8 @@ func TestElectLabelSweepAllocs(t *testing.T) {
 	small, large := graph.Grid(20, 21), graph.Grid(40, 41)
 	as, al := allocs(small), allocs(large)
 	t.Logf("%v allocations on %d nodes, %v on %d", as, small.N(), al, large.N())
-	if added := large.N() - small.N(); al-as > float64(added) {
-		t.Fatalf("Elect on labels allocates %v times on %d nodes and %v on %d: %.2f per added node, want <= 1",
-			as, small.N(), al, large.N(), (al-as)/float64(added))
+	if al > as {
+		t.Fatalf("Elect on labels allocates %v times on %d nodes and %v on %d, want no more on the larger grid",
+			as, small.N(), al, large.N())
 	}
 }

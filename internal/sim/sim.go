@@ -42,6 +42,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bits"
@@ -57,6 +58,8 @@ import (
 //
 // Programs must base decisions only on (r, b) and on data they were
 // constructed with (degree, advice): that is the anonymity discipline.
+// An output is read-only once returned: it may share its backing array
+// with other nodes' outputs (Algorithm Elect's do).
 type Decider interface {
 	Decide(r int, b *view.View) (output []int, done bool)
 }
@@ -68,9 +71,12 @@ type Factory func(simID, deg int) Decider
 
 // Result reports the outcome of a run.
 type Result struct {
-	Outputs [][]int // per node: the port sequence it output
-	Rounds  []int   // per node: the round in which it decided
-	Time    int     // max over Rounds — the paper's time measure
+	// Outputs holds per node the port sequence it output. Entries are
+	// read-only and may share backing arrays with one another and with
+	// the program's own data, as Algorithm Elect's paths do.
+	Outputs [][]int
+	Rounds  []int // per node: the round in which it decided
+	Time    int   // max over Rounds — the paper's time measure
 	// Messages counts messages exchanged: 2·m per round on the
 	// synchronous engines; on the asynchronous engine it counts
 	// *delivered* messages, a property of the schedule (regions that
@@ -315,11 +321,63 @@ func (b *barrier) sync(flag bool) bool {
 // g and all paths must end at a common node, the leader. It returns the
 // leader's sim id.
 //
-// The simple-path check uses one stamp-guarded visited buffer for the
-// whole verification instead of allocating a map per node
-// (graph.IsSimplePath): Verify sits on the benched end-to-end path, and
-// at n=100k the per-node maps were ~n avoidable allocations.
+// A correct election is usually suffix-consistent, and suffixLeader
+// accepts that form in one O(n) pass; every other input, valid or not,
+// is walked hop by hop (verifyWalk), which is the only source of
+// errors, so the result and the error text never depend on the pass.
 func Verify(g *graph.Graph, outputs [][]int) (int, error) {
+	if len(outputs) == g.N() {
+		if leader, ok := suffixLeader(g, outputs); ok {
+			return leader, nil
+		}
+	}
+	return verifyWalk(g, outputs)
+}
+
+// suffixLeader accepts outputs in which exactly one node, the leader,
+// has an empty output and every other node v's output P is
+// suffix-consistent: len(P) is even, its first hop (P[0], P[1]) is a
+// half-edge of v into some u with arrival port P[1], and P[2:] equals
+// u's output, compared by address when the two share memory (as
+// Algorithm Elect's outputs do, see advice.PathToLeader) and element
+// by element otherwise. It stops at the first node that is not.
+//
+// Sound, by induction on len(P)/2: the leader's walk is itself; v's
+// walk is one valid hop followed by u's walk, which is valid, simple
+// and ends at the leader. Along u's walk the output lengths strictly
+// decrease from len(P)−2, so v, whose output is longer, is not on it.
+func suffixLeader(g *graph.Graph, outputs [][]int) (int, bool) {
+	off, to, rport := g.CSR()
+	leader := -1
+	for v, p := range outputs {
+		if len(p) == 0 {
+			if leader >= 0 {
+				return -1, false
+			}
+			leader = v
+			continue
+		}
+		if len(p)%2 != 0 || p[0] < 0 || p[0] >= int(off[v+1]-off[v]) {
+			return -1, false
+		}
+		h := int(off[v]) + p[0]
+		if int(rport[h]) != p[1] {
+			return -1, false
+		}
+		q, rest := outputs[to[h]], p[2:]
+		if len(q) != len(rest) {
+			return -1, false
+		}
+		if len(q) > 0 && &q[0] != &rest[0] && !slices.Equal(q, rest) {
+			return -1, false
+		}
+	}
+	return leader, leader >= 0
+}
+
+// verifyWalk follows every output hop by hop. The simple-path check
+// uses one stamp-guarded visited buffer for the whole verification.
+func verifyWalk(g *graph.Graph, outputs [][]int) (int, error) {
 	if len(outputs) != g.N() {
 		return -1, errors.New("sim: wrong number of outputs")
 	}
