@@ -90,8 +90,12 @@ func run(shardIdx, shards, inc int, graphPath, advPath, network, sup, peers, jou
 	if err != nil {
 		return err
 	}
+	advBits, err := bits.Parse(strings.TrimSpace(string(advText)))
+	if err != nil {
+		return fmt.Errorf("decode advice: %w", err)
+	}
 	// The worker runs Elect on labels, which reads no view table.
-	factory, err := algorithms.NewElectFactory(nil, bits.New(strings.TrimSpace(string(advText))))
+	factory, err := algorithms.NewElectFactory(nil, advBits)
 	if err != nil {
 		return fmt.Errorf("decode advice: %w", err)
 	}

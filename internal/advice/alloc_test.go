@@ -53,3 +53,47 @@ func TestPathToLeaderAllocs(t *testing.T) {
 		t.Errorf("building the path table allocates %v times on 420 labels and %v on 1,640", small, large)
 	}
 }
+
+// TestAdviceCodecAllocs pins Encode to one allocation, its output, and
+// Decode to as many allocations on a random graph four times larger with
+// the same φ: what it allocates is fixed per E2 level, not per token.
+func TestAdviceCodecAllocs(t *testing.T) {
+	decodeAllocs := func(g *graph.Graph) (int, float64) {
+		_, a := compute(t, g)
+		if got := testing.AllocsPerRun(5, func() { a.Encode() }); got != 1 {
+			t.Errorf("Encode of the advice of %d nodes allocates %v times, want 1", g.N(), got)
+		}
+		enc := a.Encode()
+		return a.Phi, testing.AllocsPerRun(5, func() {
+			if _, err := Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	phiSmall, small := decodeAllocs(graph.RandomConnected(1000, 500, 2))
+	phiLarge, large := decodeAllocs(graph.RandomConnected(4000, 2000, 2))
+	if phiSmall != phiLarge {
+		t.Fatalf("φ is %d on 1,000 nodes and %d on 4,000", phiSmall, phiLarge)
+	}
+	if small != large {
+		t.Errorf("Decode allocates %v times on 1,000 nodes and %v on 4,000 (φ = %d)", small, large, phiSmall)
+	}
+}
+
+// TestDepth1Allocs pins the oracle's depth-1 pass, which encodes every
+// depth-1 class into one shared buffer and builds E1 over them, to the
+// same number of allocations on a random graph and on one four times
+// larger.
+func TestDepth1Allocs(t *testing.T) {
+	allocs := func(g *graph.Graph) float64 {
+		q := newQuotient(g)
+		if !q.step() {
+			t.Fatal("depth 1 does not split")
+		}
+		return testing.AllocsPerRun(5, func() { q.depth1() })
+	}
+	small, large := allocs(graph.RandomConnected(1000, 500, 2)), allocs(graph.RandomConnected(4000, 2000, 2))
+	if small != large {
+		t.Errorf("the depth-1 pass allocates %v times on 1,000 nodes and %v on 4,000", small, large)
+	}
+}

@@ -11,32 +11,163 @@ import (
 // Encode produces the advice bit string Adv = Concat(bin(φ), A1, A2) with
 // A1 = Concat(bin(E1), bin(E2)) exactly as in Algorithm 5. The length of
 // the result is the "size of advice" reported by every experiment.
+//
+// bin(E1) and bin(E2) are the token streams of trie.Tokens and
+// trie.TokensE2, and A2 is the tree stream (the number of edges, then
+// four integers per edge), each flattened by ConcatInts. Encode writes
+// every token directly at its nesting depth: each digit of φ is 2 bits,
+// of an E1 or E2 token 8 bits and of an A2 token 4 bits, and the
+// separators are 01 (the top level), 0011 (between E1 and E2 in A1, and
+// between A2's tokens) and 00001111 (between E1's or E2's tokens). It
+// reads the tokens straight off the trie nodes and tree edges, after a
+// length walk over the same tokens, into one buffer allocated once.
 func (a *Advice) Encode() bits.String {
-	a1 := bits.Concat(
-		bits.ConcatInts(a.E1.Tokens()...),
-		bits.ConcatInts(a.E2.TokensE2()...),
-	)
-	a2 := encodeTree(a.Tree)
-	return bits.Concat(bits.Bin(a.Phi), a1, a2)
+	w := bits.NewWriter(a.encodedLen())
+	w.WriteBinRepeated(a.Phi, 2)
+	w.WriteBits(0b01, 2)
+	writeTrie(&w, a.E1)
+	w.WriteBits(0b0011, 4)
+	w.WriteBinRepeated(len(a.E2), 8)
+	for _, l := range a.E2 {
+		writeToken(&w, l.Depth)
+		writeToken(&w, len(l.Couples))
+		for _, c := range l.Couples {
+			writeToken(&w, c.J)
+			w.WriteBits(0b00001111, 8)
+			writeTrie(&w, c.T)
+		}
+	}
+	w.WriteBits(0b01, 2)
+	w.WriteBinRepeated(len(a.Tree), 4)
+	for _, e := range a.Tree {
+		for _, x := range [4]int{e.ParentLabel, e.ChildLabel, e.PortParent, e.PortChild} {
+			w.WriteBits(0b0011, 4)
+			w.WriteBinRepeated(x, 4)
+		}
+	}
+	return w.Take()
 }
 
-// encodeTree serializes the labeled BFS tree A2 as a flat integer stream:
-// the number of edges followed by the four integers of each edge. Its
-// length is O(n log n) bits, matching Proposition 3.1's budget for bin(T).
-func encodeTree(tree []LabeledTreeEdge) bits.String {
-	tokens := make([]int, 0, 1+4*len(tree))
-	tokens = append(tokens, len(tree))
-	for _, e := range tree {
-		tokens = append(tokens, e.ParentLabel, e.ChildLabel, e.PortParent, e.PortChild)
-	}
-	return bits.ConcatInts(tokens...)
+// writeToken writes the separator and then the token x of an E2 list.
+func writeToken(w *bits.Writer, x int) {
+	w.WriteBits(0b00001111, 8)
+	w.WriteBinRepeated(x, 8)
 }
 
-func decodeTree(s bits.String) ([]LabeledTreeEdge, error) {
-	tokens, err := bits.DecodeInts(s)
-	if err != nil {
-		return nil, err
+// writeTrie writes the token stream of t, as a list item of E1 or E2: a
+// leaf is 0, an internal node 1, a, b, all in preorder.
+func writeTrie(w *bits.Writer, t trie.Trie) {
+	for i := range t.Size() {
+		if i > 0 {
+			w.WriteBits(0b00001111, 8)
+		}
+		qa, qb, leaf := t.Node(i)
+		if leaf {
+			w.WriteBinRepeated(0, 8)
+			continue
+		}
+		w.WriteBinRepeated(1, 8)
+		writeToken(w, int(qa))
+		writeToken(w, int(qb))
 	}
+}
+
+// encodedLen is the length of Encode's output: 2^d bits for every digit
+// and every separator of a depth-d token, less the one separator a list
+// does not end with, plus the separators between its lists.
+func (a *Advice) encodedLen() int {
+	digits, tokens := trieDigits(a.E1)
+	e2Digits, e2Tokens := bits.BinLen(len(a.E2)), 1
+	for _, l := range a.E2 {
+		e2Digits += bits.BinLen(l.Depth) + bits.BinLen(len(l.Couples))
+		e2Tokens += 2
+		for _, c := range l.Couples {
+			d, k := trieDigits(c.T)
+			e2Digits += bits.BinLen(c.J) + d
+			e2Tokens += 1 + k
+		}
+	}
+	treeDigits := bits.BinLen(len(a.Tree))
+	for _, e := range a.Tree {
+		treeDigits += bits.BinLen(e.ParentLabel) + bits.BinLen(e.ChildLabel) +
+			bits.BinLen(e.PortParent) + bits.BinLen(e.PortChild)
+	}
+	return 2*bits.BinLen(a.Phi) + 2 +
+		8*(digits+tokens-1) + 4 + 8*(e2Digits+e2Tokens-1) + 2 +
+		4*(treeDigits+4*len(a.Tree))
+}
+
+// trieDigits returns the number of digits and of tokens in the token
+// stream of t.
+func trieDigits(t trie.Trie) (digits, tokens int) {
+	for i := range t.Size() {
+		qa, qb, leaf := t.Node(i)
+		if leaf {
+			digits++
+			tokens++
+			continue
+		}
+		digits += 1 + bits.BinLen(int(qa)) + bits.BinLen(int(qb))
+		tokens += 3
+	}
+	return digits, tokens
+}
+
+// The token lists of an advice string, in the order they appear.
+const (
+	listE1 = iota
+	listE2
+	listA2
+)
+
+// readTokens reads the layout Encode writes, all three nesting levels in
+// one pass: bin(φ), then the tokens of E1 and of E2 at depth 3 into
+// lists[listE1] and lists[listE2], then those of A2 at depth 2 into
+// lists[listA2]. It returns φ and the number of tokens in each list.
+// With nil lists it only checks and counts the tokens, so Decode sizes
+// the lists with one call and fills them with a second.
+func readTokens(s bits.String, lists [3][]int) (phi int, count [3]int, err error) {
+	r := bits.NewNestedReader(s)
+	phi, end, err := r.Token(1)
+	switch {
+	case err != nil:
+		return 0, count, fmt.Errorf("advice: bad φ: %w", err)
+	case end == 0:
+		return 0, count, errors.New("advice: top level has 1 part, want 3")
+	case phi < 1:
+		return 0, count, fmt.Errorf("advice: phi = %d < 1", phi)
+	}
+	count[listE1], end, err = r.List(3, lists[listE1])
+	switch {
+	case err != nil:
+		return 0, count, fmt.Errorf("advice: bad E1: %w", err)
+	case end == 1:
+		return 0, count, errors.New("advice: A1 has 1 part, want 2")
+	case end == 0:
+		return 0, count, errors.New("advice: top level has 2 parts, want 3")
+	}
+	count[listE2], end, err = r.List(3, lists[listE2])
+	switch {
+	case err != nil:
+		return 0, count, fmt.Errorf("advice: bad E2: %w", err)
+	case end == 2:
+		return 0, count, errors.New("advice: A1 has more than 2 parts, want 2")
+	case end == 0:
+		return 0, count, errors.New("advice: top level has 2 parts, want 3")
+	}
+	count[listA2], end, err = r.List(2, lists[listA2])
+	switch {
+	case err != nil:
+		return 0, count, fmt.Errorf("advice: bad A2: %w", err)
+	case end == 1:
+		return 0, count, errors.New("advice: top level has more than 3 parts, want 3")
+	}
+	return phi, count, nil
+}
+
+// treeFromTokens parses the tree stream: the number of edges n, then
+// exactly 4n more tokens.
+func treeFromTokens(tokens []int) ([]LabeledTreeEdge, error) {
 	if len(tokens) == 0 {
 		return nil, errors.New("advice: empty tree stream")
 	}
@@ -57,49 +188,38 @@ func decodeTree(s bits.String) ([]LabeledTreeEdge, error) {
 }
 
 // Decode inverts Encode: it is what each node runs on the received advice
-// string at the start of Algorithm Elect.
+// string at the start of Algorithm Elect. It reads all three nesting
+// levels in one table-driven pass that checks and counts the tokens, a
+// second that stores them into one array of that size, and builds the
+// tries of each E2 level in one arena. A token with a leading zero is an
+// error, so Decode accepts a string exactly when it is the Encode of the
+// advice it decodes to.
 func Decode(s bits.String) (*Advice, error) {
-	parts, err := bits.Decode(s)
+	_, count, err := readTokens(s, [3][]int{})
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("advice: top level has %d parts, want 3", len(parts))
+	buf := make([]int, count[listE1]+count[listE2]+count[listA2])
+	var lists [3][]int
+	for list, k := range count {
+		lists[list], buf = buf[:k:k], buf[k:]
 	}
-	phi, err := bits.ParseBin(parts[0])
+	phi, _, err := readTokens(s, lists)
 	if err != nil {
-		return nil, fmt.Errorf("advice: bad phi: %w", err)
+		return nil, err
 	}
-	if phi < 1 {
-		return nil, fmt.Errorf("advice: phi = %d < 1", phi)
-	}
-	a1Parts, err := bits.Decode(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("advice: bad A1: %w", err)
-	}
-	if len(a1Parts) != 2 {
-		return nil, fmt.Errorf("advice: A1 has %d parts, want 2", len(a1Parts))
-	}
-	e1Tokens, err := bits.DecodeInts(a1Parts[0])
-	if err != nil {
-		return nil, fmt.Errorf("advice: bad E1: %w", err)
-	}
-	e1, used, err := trie.FromTokens(e1Tokens)
+	e1, used, err := trie.FromTokens(lists[listE1])
 	if err != nil {
 		return nil, fmt.Errorf("advice: bad E1 trie: %w", err)
 	}
-	if used != len(e1Tokens) {
+	if used != len(lists[listE1]) {
 		return nil, errors.New("advice: trailing E1 tokens")
 	}
-	e2Tokens, err := bits.DecodeInts(a1Parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("advice: bad E2: %w", err)
-	}
-	e2, err := trie.E2FromTokens(e2Tokens)
+	e2, err := trie.E2FromTokens(lists[listE2])
 	if err != nil {
 		return nil, fmt.Errorf("advice: bad E2 list: %w", err)
 	}
-	tree, err := decodeTree(parts[2])
+	tree, err := treeFromTokens(lists[listA2])
 	if err != nil {
 		return nil, fmt.Errorf("advice: bad A2: %w", err)
 	}

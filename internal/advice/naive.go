@@ -105,6 +105,26 @@ func DecodeNaive(s bits.String) (*NaiveAdvice, error) {
 	return &NaiveAdvice{Phi: phi, Views: views, Tree: tree}, nil
 }
 
+// encodeTree serializes the labeled BFS tree A2 as a flat integer stream:
+// the number of edges followed by the four integers of each edge. Its
+// length is O(n log n) bits, matching Proposition 3.1's budget for bin(T).
+func encodeTree(tree []LabeledTreeEdge) bits.String {
+	tokens := make([]int, 0, 1+4*len(tree))
+	tokens = append(tokens, len(tree))
+	for _, e := range tree {
+		tokens = append(tokens, e.ParentLabel, e.ChildLabel, e.PortParent, e.PortChild)
+	}
+	return bits.ConcatInts(tokens...)
+}
+
+func decodeTree(s bits.String) ([]LabeledTreeEdge, error) {
+	tokens, err := bits.DecodeInts(s)
+	if err != nil {
+		return nil, err
+	}
+	return treeFromTokens(tokens)
+}
+
 // RankOf returns the 1-based rank of the serialized view s in the list,
 // or an error if absent — the naive node-side labeling step.
 func (a *NaiveAdvice) RankOf(s bits.String) (int, error) {

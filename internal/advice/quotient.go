@@ -219,14 +219,24 @@ func (q *quotient) rankDepth1() {
 
 // depth1 builds E1 over the encodings bin(B^1) of the depth-1 classes,
 // read off the graph at each representative, and labels the classes.
+// The encodings share one buffer, each on bytes of its own.
 func (q *quotient) depth1() trie.Trie {
 	g := q.g
+	var r int // the representative whose ports port reads
+	port := func(j int) (int, int) {
+		h := g.At(r, j)
+		return h.RemotePort, g.Deg(h.To)
+	}
+	size := 0
+	for _, rc := range q.rep {
+		r = int(rc)
+		size += view.Depth1Bytes(g.Deg(r), port)
+	}
+	buf := make([]byte, size)
 	encs := make([]bits.String, q.cur.k)
-	for c, r := range q.rep {
-		encs[c] = view.EncodeDepth1Ports(g.Deg(int(r)), func(j int) (int, int) {
-			h := g.At(int(r), j)
-			return h.RemotePort, g.Deg(h.To)
-		})
+	for c, rc := range q.rep {
+		r = int(rc)
+		encs[c], buf = view.EncodeDepth1Into(buf, g.Deg(r), port)
 	}
 	e1 := trie.BuildDepth1(encs)
 	label := q.cur.label

@@ -5,16 +5,27 @@
 // substrings (A1, ..., Ak) by doubling each digit of each substring and
 // inserting the separator 01 between consecutive substrings.
 //
+// The advice string nests that code three deep. A Writer writes such a
+// string token by token, every digit and separator directly at its final
+// width (WriteBinRepeated with 2, 4 or 8 bits per digit, WriteBits for
+// the separators), into one buffer sized by the encoder's length walk.
+// NestedReader reads it back: Token and List read all nesting levels in
+// one table-driven pass over 64-bit windows, and List with no array
+// counts a list's tokens, so a decoder sizes its arrays with the same
+// parser. Concat, Decode and DecodeInts remain the one-level forms.
+//
 // The size of advice reported throughout this repository is the length in
 // bits of strings produced by this package, so the constants match the
 // paper's accounting exactly.
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mathbits "math/bits"
 	"strings"
+	"unicode/utf8"
 )
 
 // String is an immutable sequence of bits. The zero value is the empty
@@ -27,21 +38,54 @@ type String struct {
 
 // New returns a bit string parsed from a textual sequence of '0' and '1'
 // characters. It panics on any other character; it is intended for tests
-// and literals.
+// and literals. Text from outside the program goes through Parse.
 func New(s string) String {
-	var w Writer
-	for _, c := range s {
-		switch c {
+	b, err := Parse(s)
+	if err != nil {
+		panic("bits.New: " + err.Error())
+	}
+	return b
+}
+
+// Parse returns the bit string written as a sequence of '0' and '1'
+// characters, and an error naming the first other character. It packs
+// eight characters into each byte directly.
+func Parse(s string) (String, error) {
+	b := make([]byte, (len(s)+7)>>3)
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
 		case '0':
-			w.WriteBit(false)
 		case '1':
-			w.WriteBit(true)
+			b[i>>3] |= 0x80 >> uint(i&7)
 		default:
-			panic(fmt.Sprintf("bits.New: invalid character %q", c))
+			r, _ := utf8.DecodeRuneInString(s[i:])
+			return String{}, fmt.Errorf("bits: invalid character %q at offset %d", r, i)
 		}
 	}
-	return w.String()
+	return String{b: b, n: len(s)}, nil
 }
+
+// FromBytes returns the bit string of length n packed most significant
+// bit first in data, as AppendBytes writes it. data must hold exactly
+// (n+7)/8 bytes and its padding bits must be zero, so every bit string
+// has exactly one packed form (Equal compares whole bytes). The result
+// owns a copy of data.
+func FromBytes(data []byte, n int) (String, error) {
+	if n < 0 || len(data) != (n+7)>>3 {
+		return String{}, fmt.Errorf("bits: %d packed bytes for %d bits", len(data), n)
+	}
+	if n&7 != 0 {
+		if pad := data[len(data)-1] & (0xFF >> uint(n&7)); pad != 0 {
+			return String{}, fmt.Errorf("bits: nonzero padding bits %#x", pad)
+		}
+	}
+	return String{b: append([]byte(nil), data...), n: n}, nil
+}
+
+// AppendBytes appends the bits of s to dst packed most significant bit
+// first, the final byte padded with zeros, and returns the extended
+// slice. FromBytes inverts it.
+func (s String) AppendBytes(dst []byte) []byte { return append(dst, s.b...) }
 
 // Len returns the number of bits in s.
 func (s String) Len() int { return s.n }
@@ -64,19 +108,27 @@ func (s String) Bit1(j int) bool {
 	return s.Bit(j - 1)
 }
 
-// String renders s as a sequence of '0' and '1' characters.
+// String renders s as a sequence of '0' and '1' characters, one byte of
+// s (eight characters) at a time.
 func (s String) String() string {
 	var sb strings.Builder
 	sb.Grow(s.n)
-	for i := 0; i < s.n; i++ {
-		if s.Bit(i) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
+	for k := 0; k<<3 < s.n; k++ {
+		sb.Write(digitText[s.b[k]][:min(8, s.n-k<<3)])
 	}
 	return sb.String()
 }
+
+// digitText[b] is the byte b written as eight '0'/'1' characters, most
+// significant bit first.
+var digitText = func() (t [256][8]byte) {
+	for b := range t {
+		for i := range t[b] {
+			t[b][i] = '0' + byte(b>>uint(7-i)&1)
+		}
+	}
+	return
+}()
 
 // Equal reports whether s and t contain the same bits.
 func Equal(s, t String) bool {
@@ -154,21 +206,34 @@ func (w *Writer) WriteBit(bit bool) {
 // WriteBits appends the n lowest bits of v, most significant of those
 // first. It is the bulk form of WriteBit for encoders that assemble
 // multi-bit patterns (doubled digits, separator pairs) in registers.
+// When the buffer has eight bytes of room it stores all of them at once;
+// the bytes past the written bits are zero and stay outside the string.
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("bits: WriteBits count %d out of range [0,64]", n))
+	}
+	if n == 0 {
+		return
+	}
+	v <<= 64 - uint(n) // left-aligned, the bits above n dropped
+	i, used := w.n>>3, uint(w.n&7)
+	if used+uint(n) <= 64 && i+8 <= cap(w.b) {
+		word := v >> used
+		if used > 0 {
+			word |= uint64(w.b[i]) << 56
+		}
+		binary.BigEndian.PutUint64(w.b[i:i+8], word)
+		w.n += n
+		w.b = w.b[:(w.n+7)>>3]
+		return
 	}
 	for n > 0 {
 		if w.n&7 == 0 {
 			w.b = append(w.b, 0)
 		}
-		free := 8 - w.n&7
-		take := free
-		if n < take {
-			take = n
-		}
-		chunk := byte(v>>uint(n-take)) & (1<<uint(take) - 1)
-		w.b[w.n>>3] |= chunk << uint(free-take)
+		take := min(8-w.n&7, n)
+		w.b[w.n>>3] |= byte(v>>56) >> uint(w.n&7)
+		v <<= uint(take)
 		w.n += take
 		n -= take
 	}
@@ -286,6 +351,14 @@ func NewWriter(n int) Writer {
 	return Writer{b: make([]byte, 0, (n+7)>>3)}
 }
 
+// WriterOn returns a writer whose output goes into buf's storage, from
+// its start. A writer on a buffer with room for its output never
+// allocates, so an encoder can carve many strings out of one buffer,
+// each starting on a byte boundary and holding exactly its own bytes.
+// The writer may store zeros in the room past its output, so the strings
+// are written in buffer order.
+func WriterOn(buf []byte) Writer { return Writer{b: buf[:0]} }
+
 // Take returns the accumulated bits without String's copy and resets
 // the writer to empty: the result owns the buffer, so an encoder that
 // sized its writer with NewWriter allocates exactly once.
@@ -392,24 +465,44 @@ func (w *Writer) WriteBinDoubled(x int) { w.WriteBinRepeated(x, 2) }
 
 // WriteBinRepeated appends bin(x) with every digit written k times
 // (k = 2 is one application of the doubling code, k = 4 two nested
-// applications — the depth-1 view encoder's case).
+// applications — the depth-1 view encoder's case — and k = 8 three, an
+// advice token of E1 or E2). For k = 2, 4 and 8 it writes four digits
+// per WriteBits from a nibble-expansion table.
 func (w *Writer) WriteBinRepeated(x, k int) {
 	if x < 0 {
 		panic(fmt.Sprintf("bits.Bin: negative argument %d", x))
 	}
-	ones := uint64(1)<<uint(k) - 1
-	if x == 0 {
-		w.WriteBits(0, k)
+	digits := BinLen(x)
+	if k == 2 || k == 4 || k == 8 {
+		tab := &spread[mathbits.TrailingZeros(uint(k))]
+		// The leading one to four digits, then four at a time.
+		shift := (digits - 1) &^ 3
+		w.WriteBits(uint64(tab[x>>uint(shift)]), (digits-shift)*k)
+		for shift > 0 {
+			shift -= 4
+			w.WriteBits(uint64(tab[x>>uint(shift)&15]), 4*k)
+		}
 		return
 	}
-	for i := mathbits.Len(uint(x)) - 1; i >= 0; i-- {
-		if x>>uint(i)&1 == 1 {
-			w.WriteBits(ones, k)
-		} else {
-			w.WriteBits(0, k)
-		}
+	ones := uint64(1)<<uint(k) - 1
+	for i := digits - 1; i >= 0; i-- {
+		w.WriteBits(ones*uint64(x>>uint(i)&1), k)
 	}
 }
+
+// spread[t][v] is the nibble v with every bit written 2^t times: four
+// digits of bin(x) for WriteBinRepeated(x, 2^t).
+var spread = func() (tab [4][16]uint32) {
+	for t := range tab {
+		k := uint(1) << uint(t)
+		for v := range tab[t] {
+			for i := 3; i >= 0; i-- {
+				tab[t][v] = tab[t][v]<<k | uint32(v>>uint(i)&1)*(1<<k-1)
+			}
+		}
+	}
+	return
+}()
 
 // DecodeInts inverts ConcatInts.
 func DecodeInts(s String) ([]int, error) {

@@ -309,27 +309,70 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 }
 
+// writers returns a zero Writer, a presized one, and one on a buffer of
+// stale bytes: WriteBits stores eight bytes at once only where the
+// buffer has the room.
+func writers(n int) []Writer {
+	stale := make([]byte, (n+7)>>3+8)
+	for i := range stale {
+		stale[i] = 0xA5
+	}
+	return []Writer{{}, NewWriter(n), WriterOn(stale)}
+}
+
 // WriteBits must agree with writing the same bits one at a time, at
 // every alignment of the writer.
 func TestWriteBitsMatchesWriteBit(t *testing.T) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	for align := 0; align < 9; align++ {
 		for n := 0; n <= 64; n++ {
-			var fast, slow Writer
-			for i := 0; i < align; i++ {
-				fast.WriteBit(i%2 == 0)
-				slow.WriteBit(i%2 == 0)
-			}
 			rng ^= rng << 13
 			rng ^= rng >> 7
 			rng ^= rng << 17
 			v := rng
-			fast.WriteBits(v, n)
-			for i := n - 1; i >= 0; i-- {
-				slow.WriteBit(v>>uint(i)&1 == 1)
+			for kind, fast := range writers(align + n + 1) {
+				var slow Writer
+				for i := 0; i < align; i++ {
+					fast.WriteBit(i%2 == 0)
+					slow.WriteBit(i%2 == 0)
+				}
+				fast.WriteBits(v, n)
+				fast.WriteBit(true)
+				for i := n - 1; i >= 0; i-- {
+					slow.WriteBit(v>>uint(i)&1 == 1)
+				}
+				slow.WriteBit(true)
+				if !Equal(fast.String(), slow.String()) {
+					t.Fatalf("writer %d, align %d n %d: WriteBits disagrees with WriteBit", kind, align, n)
+				}
 			}
-			if !Equal(fast.String(), slow.String()) {
-				t.Fatalf("align %d n %d: WriteBits disagrees with WriteBit", align, n)
+		}
+	}
+}
+
+// WriteBinRepeated must agree with writing each digit of bin(x) k times,
+// at every alignment of the writer.
+func TestWriteBinRepeatedMatchesDigits(t *testing.T) {
+	xs := []int{0, 1, 2, 5, 15, 16, 17, 255, 256, 1<<20 + 3, 1<<62 - 1}
+	for _, k := range []int{1, 2, 3, 4, 8} {
+		for align := 0; align < 8; align++ {
+			for _, x := range xs {
+				for kind, fast := range writers(align + k*BinLen(x)) {
+					var slow Writer
+					for i := 0; i < align; i++ {
+						fast.WriteBit(i%3 == 0)
+						slow.WriteBit(i%3 == 0)
+					}
+					fast.WriteBinRepeated(x, k)
+					for _, digit := range Bin(x).String() {
+						for range k {
+							slow.WriteBit(digit == '1')
+						}
+					}
+					if !Equal(fast.String(), slow.String()) {
+						t.Fatalf("writer %d, k %d, align %d, x %d: %v, want %v", kind, k, align, x, fast.String(), slow.String())
+					}
+				}
 			}
 		}
 	}

@@ -40,35 +40,15 @@ const (
 var cacheCodes = map[string]byte{CacheCold: 0, CacheWarm: 1, CacheHot: 2}
 var cacheNames = [...]string{CacheCold, CacheWarm, CacheHot}
 
-// packBits packs a bit string MSB-first into bytes (final byte padded
-// with zeros).
-func packBits(s bits.String) []byte {
-	out := make([]byte, (s.Len()+7)/8)
-	for i := 0; i < s.Len(); i++ {
-		if s.Bit(i) {
-			out[i/8] |= 0x80 >> (i % 8)
-		}
-	}
-	return out
-}
-
-// unpackBits inverts packBits for a declared bit length.
+// unpackBits reads the advice bits of an envelope, packed MSB-first by
+// bits.String.AppendBytes, for a declared bit length. Padding bits must
+// be zero, so every bit string has exactly one encoding.
 func unpackBits(data []byte, n int) (bits.String, error) {
-	if n < 0 || len(data) != (n+7)/8 {
-		return bits.String{}, fmt.Errorf("serve: %d packed bytes for %d bits", len(data), n)
+	s, err := bits.FromBytes(data, n)
+	if err != nil {
+		return bits.String{}, fmt.Errorf("serve: %w", err)
 	}
-	if n%8 != 0 {
-		// Padding bits must be zero, so every bit string has exactly
-		// one encoding.
-		if pad := data[len(data)-1] & (0xFF >> (n % 8)); pad != 0 {
-			return bits.String{}, fmt.Errorf("serve: nonzero padding bits %#x", pad)
-		}
-	}
-	var w bits.Writer
-	for i := 0; i < n; i++ {
-		w.WriteBit(data[i/8]&(0x80>>(i%8)) != 0)
-	}
-	return w.String(), nil
+	return s, nil
 }
 
 // encodeEnvelope serializes (φ, advice bits) for the store.
@@ -76,7 +56,7 @@ func encodeEnvelope(phi int, adv bits.String) []byte {
 	buf := make([]byte, 0, 2+10+(adv.Len()+7)/8)
 	buf = binary.AppendUvarint(buf, uint64(phi))
 	buf = binary.AppendUvarint(buf, uint64(adv.Len()))
-	return append(buf, packBits(adv)...)
+	return adv.AppendBytes(buf)
 }
 
 // decodeEnvelope inverts encodeEnvelope, rejecting any malformation.

@@ -29,17 +29,28 @@ func (t Trie) appendTokens(out []int) []int {
 
 // FromTokens parses a trie from the front of a token stream, returning
 // the trie and the number of tokens consumed. The stream is decoded
-// advice, input from outside the program, so the parse runs on an
-// explicit stack (a degenerate trie cannot grow the goroutine stack),
-// and a query value that does not fit the int32 node is an error — a
-// silent truncation would turn corrupt advice into a wrong label.
+// advice, input from outside the program, so the parse neither recurses
+// nor keeps a stack (a degenerate trie cannot grow either), and a query
+// value that does not fit the int32 node is an error — a silent
+// truncation would turn corrupt advice into a wrong label.
 func FromTokens(tokens []int) (Trie, int, error) {
-	// First pass: validate, and count the nodes so the trie is
-	// allocated once at its size.
-	nodes, pos := 0, 0
+	nodes, used, err := countTrie(tokens)
+	if err != nil {
+		return nil, 0, err
+	}
+	t := make(Trie, nodes)
+	fillTrie(t, tokens)
+	return t, used, nil
+}
+
+// countTrie validates the trie stream at the front of tokens and returns
+// its number of nodes and of tokens, so the trie is allocated once at its
+// size.
+func countTrie(tokens []int) (nodes, used int, err error) {
+	pos := 0
 	for open := 1; open > 0; nodes++ { // open: subtrees still to parse
 		if pos >= len(tokens) {
-			return nil, 0, errors.New("trie: truncated token stream")
+			return 0, 0, errors.New("trie: truncated token stream")
 		}
 		switch tag := tokens[pos]; tag {
 		case 0:
@@ -47,43 +58,66 @@ func FromTokens(tokens []int) (Trie, int, error) {
 			open--
 		case 1:
 			if pos+2 >= len(tokens) {
-				return nil, 0, errors.New("trie: truncated query")
+				return 0, 0, errors.New("trie: truncated query")
 			}
 			a, b := tokens[pos+1], tokens[pos+2]
 			if a != int(int32(a)) || b != int(int32(b)) {
-				return nil, 0, fmt.Errorf("trie: query (%d, %d) outside int32", a, b)
+				return 0, 0, fmt.Errorf("trie: query (%d, %d) outside int32", a, b)
 			}
 			pos += 3
 			open++
 		default:
-			return nil, 0, fmt.Errorf("trie: invalid tag %d", tag)
+			return 0, 0, fmt.Errorf("trie: invalid tag %d", tag)
 		}
 	}
 	if nodes > math.MaxInt32 {
-		return nil, 0, fmt.Errorf("trie: %d nodes overflow the int32 child index", nodes)
+		return 0, 0, fmt.Errorf("trie: %d nodes overflow the int32 child index", nodes)
 	}
-	// Second pass: fill. A node that follows a leaf is the right child
-	// of the innermost internal node still waiting for one.
-	t := make(Trie, nodes)
-	var stackBuf [32]int32
-	waiting := stackBuf[:0]
-	afterLeaf := false
-	pos = 0
-	for i := range t {
-		if afterLeaf {
-			p := waiting[len(waiting)-1]
-			waiting = waiting[:len(waiting)-1]
-			t[p].right = int32(i)
-		}
-		if afterLeaf = tokens[pos] == 0; afterLeaf {
-			pos++
+	return nodes, pos, nil
+}
+
+// fillTrie writes the trie stream at the front of tokens, which
+// countTrie accepted, into the front of t, and returns its number of
+// nodes and of tokens. The right child of internal node i follows its
+// left subtree, at i + 1 + size(i+1): a backward pass writes the size of
+// every subtree into its root's right field, and a forward pass turns
+// those sizes into right-child indices. So the fill takes no stack,
+// whatever the trie's shape.
+func fillTrie(t Trie, tokens []int) (nodes, used int) {
+	for open := 1; open > 0; nodes++ { // open: subtrees still to fill
+		if tokens[used] == 0 {
+			t[nodes] = node{right: 1} // a leaf is a subtree of one node
+			used++
+			open--
 			continue
 		}
-		t[i] = node{a: int32(tokens[pos+1]), b: int32(tokens[pos+2])}
-		pos += 3
-		waiting = append(waiting, int32(i))
+		t[nodes] = node{a: int32(tokens[used+1]), b: int32(tokens[used+2])}
+		used += 3
+		open++
 	}
-	return t, pos, nil
+	t = t[:nodes]
+	for i := nodes - 1; i >= 0; i-- {
+		if t[i].right == 0 { // internal, and both subtrees sized
+			left := t[i+1].right
+			t[i].right = 1 + left + t[i+1+int(left)].right
+		}
+	}
+	for i := range t {
+		if t[i].right == 1 {
+			t[i].right = 0
+		} else {
+			t[i].right = int32(i) + 1 + t[i+1].right
+		}
+	}
+	return nodes, used
+}
+
+// Node returns node i of t in preorder, the order of the token stream:
+// its query (a, b) when it is internal, and leaf true when it is a leaf.
+// An encoder writes the stream from it without building a token slice.
+func (t Trie) Node(i int) (a, b int32, leaf bool) {
+	nd := t[i]
+	return nd.a, nd.b, nd.right == 0
 }
 
 // TokensE2 serializes a nested list E2 as a flat integer stream:
@@ -113,6 +147,9 @@ func (e E2) TokensE2() []int {
 // E2FromTokens inverts TokensE2. Counts read from the stream size no
 // allocation beyond what the remaining tokens can fill: a couple takes
 // at least two tokens (J and a leaf), a level at least two (its header).
+// The tries of one level are validated and counted first and then
+// carved out of one arena, as the oracle builds them, so a level costs a
+// fixed number of allocations however many couples it has.
 func E2FromTokens(tokens []int) (E2, error) {
 	if len(tokens) == 0 {
 		return nil, errors.New("trie: empty E2 stream")
@@ -132,19 +169,26 @@ func E2FromTokens(tokens []int) (E2, error) {
 		if nCouples < 0 || nCouples > (len(tokens)-pos)/2 {
 			return nil, errors.New("trie: truncated E2 couple")
 		}
-		couples := make([]Couple, 0, nCouples)
+		start, nodes := pos, 0
 		for c := 0; c < nCouples; c++ {
 			if pos >= len(tokens) {
 				return nil, errors.New("trie: truncated E2 couple")
 			}
-			j := tokens[pos]
-			pos++
-			t, used, err := FromTokens(tokens[pos:])
+			k, used, err := countTrie(tokens[pos+1:])
 			if err != nil {
 				return nil, err
 			}
-			pos += used
-			couples = append(couples, Couple{J: j, T: t})
+			pos += 1 + used
+			nodes += k
+		}
+		couples := make([]Couple, nCouples)
+		arena := make(Trie, nodes)
+		pos = start
+		for c := range couples {
+			k, used := fillTrie(arena, tokens[pos+1:])
+			couples[c] = Couple{J: tokens[pos], T: arena[:k:k]}
+			arena = arena[k:]
+			pos += 1 + used
 		}
 		e2 = append(e2, NewLevelList(depth, couples))
 	}

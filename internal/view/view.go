@@ -375,14 +375,36 @@ func EncodeDepth1(v *View) bits.String {
 // an encoding is one allocation. TestEncodeDepth1MatchesNestedConcat
 // pins the output to the Concat/ConcatInts composition bit for bit.
 func EncodeDepth1Ports(deg int, port func(j int) (remotePort, nbrDeg int)) bits.String {
+	w := bits.NewWriter(depth1Len(deg, port))
+	writeDepth1(&w, deg, port)
+	return w.Take()
+}
+
+// Depth1Bytes returns the number of bytes the bits of
+// EncodeDepth1Ports(deg, port) take.
+func Depth1Bytes(deg int, port func(j int) (remotePort, nbrDeg int)) int {
+	return (depth1Len(deg, port) + 7) >> 3
+}
+
+// EncodeDepth1Into is EncodeDepth1Ports written into the front of buf,
+// which must hold at least Depth1Bytes(deg, port) bytes. The encoding
+// holds exactly those bytes and the rest of buf is returned, so an
+// encoder carves the encodings of many views out of one buffer.
+func EncodeDepth1Into(buf []byte, deg int, port func(j int) (remotePort, nbrDeg int)) (bits.String, []byte) {
+	w := bits.WriterOn(buf)
+	writeDepth1(&w, deg, port)
+	s := w.Take()
+	return s, buf[(s.Len()+7)>>3:]
+}
+
+// depth1Len is the length in bits of the encoding of a depth-1 view.
+func depth1Len(deg int, port func(j int) (remotePort, nbrDeg int)) int {
 	n := 2 * max(deg-1, 0) // outer separators
 	for j := 0; j < deg; j++ {
 		a, b := port(j)
 		n += 4*(bits.BinLen(j)+bits.BinLen(a)+bits.BinLen(b)) + 8
 	}
-	w := bits.NewWriter(n)
-	writeDepth1(&w, deg, port)
-	return w.Take()
+	return n
 }
 
 // WriteDepth1 is EncodeDepth1Ports for ports given as slices — port j

@@ -452,7 +452,8 @@ func TestLevelSetsAreDistanceBalls(t *testing.T) {
 // Concat(ConcatInts(j, a_j, b_j)...) composition bit for bit on every
 // depth-1 view of a varied set of graphs — the spec it replaced with
 // quadrupled-digit writes — from both of its callers: the labeler's,
-// which reads the view, and the oracle's, which reads the graph.
+// which reads the view, and the oracle's, which reads the graph, into a
+// buffer of its own or into a shared one.
 func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Path(5),
@@ -475,12 +476,19 @@ func TestEncodeDepth1MatchesNestedConcat(t *testing.T) {
 			if !bits.Equal(EncodeDepth1(v), want) {
 				t.Fatalf("EncodeDepth1 diverges from nested Concat on %v", v)
 			}
-			fromGraph := EncodeDepth1Ports(g.Deg(w), func(j int) (int, int) {
+			port := func(j int) (int, int) {
 				h := g.At(w, j)
 				return h.RemotePort, g.Deg(h.To)
-			})
-			if !bits.Equal(fromGraph, want) {
+			}
+			if !bits.Equal(EncodeDepth1Ports(g.Deg(w), port), want) {
 				t.Fatalf("EncodeDepth1Ports diverges from nested Concat at node %d", w)
+			}
+			// Into a buffer one byte longer than the encoding: the
+			// encoding takes exactly its own bytes.
+			buf := make([]byte, Depth1Bytes(g.Deg(w), port)+1)
+			into, rest := EncodeDepth1Into(buf, g.Deg(w), port)
+			if !bits.Equal(into, want) || len(rest) != 1 {
+				t.Fatalf("EncodeDepth1Into diverges from nested Concat at node %d, or leaves %d bytes", w, len(rest))
 			}
 			if !bits.Equal(WriteDepth1(&reused, remote, nbrDeg), want) {
 				t.Fatalf("WriteDepth1 diverges from nested Concat at node %d", w)
